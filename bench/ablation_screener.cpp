@@ -10,7 +10,6 @@
 
 #include "bench_common.h"
 #include "core/ldrg.h"
-#include "core/ldrg_screened.h"
 
 int main() {
   using namespace ntr;

@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "core/ldrg_screened.h"
+#include "core/ldrg.h"
 
 int main() {
   using namespace ntr;

@@ -5,16 +5,6 @@
 
 namespace ntr::core {
 
-namespace {
-
-double objective(const graph::RoutingGraph& g, const delay::DelayEvaluator& evaluator,
-                 const std::vector<double>& criticality) {
-  return criticality.empty() ? evaluator.max_delay(g)
-                             : evaluator.weighted_delay(g, criticality);
-}
-
-}  // namespace
-
 ExhaustiveOrgResult exhaustive_org_augmentation(
     const graph::RoutingGraph& initial, const delay::DelayEvaluator& evaluator,
     const ExhaustiveOrgOptions& options) {
@@ -28,7 +18,7 @@ ExhaustiveOrgResult exhaustive_org_augmentation(
 
   ExhaustiveOrgResult best;
   best.graph = initial;
-  best.objective = objective(initial, evaluator, options.criticality);
+  best.objective = evaluator.objective(initial, options.criticality);
   best.evaluated = 1;
 
   // Depth-first enumeration of subsets up to the size cap. `start` makes
@@ -41,7 +31,7 @@ ExhaustiveOrgResult exhaustive_org_augmentation(
       graph::RoutingGraph next = current;
       next.add_edge(absent[i].first, absent[i].second);
       chosen.push_back(i);
-      const double t = objective(next, evaluator, options.criticality);
+      const double t = evaluator.objective(next, options.criticality);
       ++best.evaluated;
       if (t < best.objective) {
         best.objective = t;

@@ -6,12 +6,6 @@ namespace ntr::core {
 
 namespace {
 
-double objective(const graph::RoutingGraph& g, const delay::DelayEvaluator& evaluator,
-                 const std::vector<double>& criticality) {
-  return criticality.empty() ? evaluator.max_delay(g)
-                             : evaluator.weighted_delay(g, criticality);
-}
-
 double next_width(const std::vector<double>& widths, double current) {
   double best = 0.0;
   for (const double w : widths)
@@ -31,7 +25,7 @@ HorgResult horg_greedy(const graph::RoutingGraph& initial,
 
   HorgResult result;
   result.graph = initial;
-  result.initial_objective = objective(result.graph, evaluator, options.criticality);
+  result.initial_objective = evaluator.objective(result.graph, options.criticality);
   result.initial_area = result.graph.total_wire_area();
   result.final_objective = result.initial_objective;
   result.final_area = result.initial_area;
@@ -73,7 +67,7 @@ HorgResult horg_greedy(const graph::RoutingGraph& initial,
         step.kind = HorgStep::Kind::kAddEdge;
         step.u = u;
         step.v = v;
-        consider(step, objective(trial, evaluator, options.criticality), added_area);
+        consider(step, evaluator.objective(trial, options.criticality), added_area);
       }
     }
     // WSORG moves: widen any edge one notch.
@@ -87,7 +81,7 @@ HorgResult horg_greedy(const graph::RoutingGraph& initial,
       step.kind = HorgStep::Kind::kWidenEdge;
       step.edge = e;
       step.new_width = w;
-      consider(step, objective(trial, evaluator, options.criticality),
+      consider(step, evaluator.objective(trial, options.criticality),
                edge.length * (w - edge.width));
     }
 

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "check/contracts.h"
 #include "core/annotations.h"
@@ -22,11 +24,7 @@ namespace {
 /// few scores without measurable overhead.
 constexpr std::size_t kLaneStopStride = 16;
 
-double objective(const graph::RoutingGraph& g, const delay::DelayEvaluator& evaluator,
-                 const std::vector<double>& criticality) {
-  return criticality.empty() ? evaluator.max_delay(g)
-                             : evaluator.weighted_delay(g, criticality);
-}
+constexpr std::size_t kNoCandidate = std::numeric_limits<std::size_t>::max();
 
 double sink_objective(const std::vector<double>& sink_delays,
                       const std::vector<double>& criticality) {
@@ -48,35 +46,160 @@ struct Candidate {
   graph::NodeId v = graph::kInvalidNode;
 };
 
-/// The winning candidate of one lane: its score and its index in the
-/// shared enumeration order. Reduced across lanes by (score, index), which
-/// reproduces the serial loop's "strict improvement, first tie wins"
-/// semantics for any lane count.
-struct LaneBest {
+/// A candidate's score and its index in the round's scan order. Ordered
+/// by (score, index), which reproduces the serial loop's "strict
+/// improvement, first tie wins" semantics for any lane count.
+struct Scored {
   double score = std::numeric_limits<double>::infinity();
-  std::size_t index = std::numeric_limits<std::size_t>::max();
+  std::size_t index = kNoCandidate;
 };
 
-}  // namespace
+bool ranks_before(const Scored& a, const Scored& b) {
+  return a.score < b.score || (a.score == b.score && a.index < b.index);
+}
 
+/// How a round ranks its candidates before the exact evaluator verifies
+/// them.
+struct Ranking {
+  /// Its make_candidate_scorer ranks; without a scorer every candidate is
+  /// verified.
+  const delay::DelayEvaluator* source = nullptr;
+  /// How many of the best-ranked candidates are verified.
+  std::size_t keep = 1;
+  /// The scores estimate the verified objective itself (the evaluator's
+  /// own scorer), so a candidate scored at or above the acceptance
+  /// threshold is dropped before it costs an exact evaluation.
+  bool scores_objective = false;
+};
+
+/// The accepted edge of one round and the exact objective with it added.
+struct Pick {
+  Candidate edge;
+  double objective = 0.0;
+};
+
+/// One round of the greedy loop (paper Fig. 4: "exists e_ij improving
+/// t(G)?") over `g`, whose wirelength is `cost`: the best absent pair
+/// within `cost_budget` whose exact objective is below `accept_below`, or
+/// nullopt when there is none.
+std::optional<Pick> ldrg_round(const graph::RoutingGraph& g, double cost,
+                               double cost_budget, double accept_below,
+                               const delay::DelayEvaluator& evaluator,
+                               const Ranking& ranking, const LdrgOptions& options,
+                               ThreadPool* pool, std::size_t lanes) {
+  // 1. Enumerate every absent pair (pins and Steiner points alike) within
+  // the cost budget; the enumeration order defines the tie-break index.
+  NTR_FAULT_POINT(kLdrgAllocation);
+  std::vector<Candidate> candidates;
+  candidates.reserve(g.node_count() * (g.node_count() - 1) / 2);
+  for (graph::NodeId u = 0; u < g.node_count(); ++u) {
+    for (graph::NodeId v = u + 1; v < g.node_count(); ++v) {
+      if (g.has_edge(u, v)) continue;
+      const double edge_len =
+          geom::manhattan_distance(g.node(u).pos, g.node(v).pos);
+      if (cost + edge_len > cost_budget) continue;
+      candidates.push_back({u, v});
+    }
+  }
+  if (candidates.empty()) return std::nullopt;
+
+  // Both scans below run over deterministic static chunks. One lane
+  // observing a tripped token raises the shared flag; the other lanes see
+  // it at their next stride check and break too, so the pool joins
+  // promptly and the trip rethrows as a typed error.
+  const bool stop_engaged = options.stop.engaged();
+  const auto scan = [&](std::size_t n, const char* where, const auto& visit) {
+    std::atomic<bool> stop_hit{false};
+    parallel_chunks(pool, n, [&](std::size_t lane, std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        if (stop_engaged && (i - begin) % kLaneStopStride == 0) {
+          if (stop_hit.load(std::memory_order_relaxed) ||
+              options.stop.poll() != runtime::StatusCode::kOk) {
+            stop_hit.store(true, std::memory_order_relaxed);
+            break;
+          }
+        }
+        visit(lane, i);
+      }
+    });
+    if (stop_hit.load(std::memory_order_relaxed)) options.stop.throw_if_stopped(where);
+  };
+
+  // 2. Rank with a delta engine (Sherman-Morrison Elmore scores a
+  // candidate in O(n) off a factorization of `g`, rebuilt every round
+  // because the accepted edge invalidates it) and keep the best `keep` by
+  // (score, index). Scores land at their enumeration index, so the
+  // ranking is bit-identical for every lane count.
+  const std::unique_ptr<delay::CandidateScorer> scorer =
+      ranking.source->make_candidate_scorer(g);
+  if (scorer) {
+    std::vector<Scored> ranked(candidates.size());
+    scan(candidates.size(), "ldrg ranking scan", [&](std::size_t, std::size_t i) {
+      ranked[i] = Scored{
+          sink_objective(scorer->candidate_sink_delays(candidates[i].u, candidates[i].v),
+                         options.criticality),
+          i};
+    });
+    const double cutoff = ranking.scores_objective
+                              ? accept_below
+                              : std::numeric_limits<double>::infinity();
+    std::erase_if(ranked, [&](const Scored& s) { return !(s.score < cutoff); });
+    const std::size_t keep = std::min(ranking.keep, ranked.size());
+    std::partial_sort(ranked.begin(),
+                      ranked.begin() + static_cast<std::ptrdiff_t>(keep),
+                      ranked.end(), ranks_before);
+    std::vector<Candidate> shortlist;
+    shortlist.reserve(keep);
+    for (std::size_t k = 0; k < keep; ++k)
+      shortlist.push_back(candidates[ranked[k].index]);
+    candidates = std::move(shortlist);
+  }
+
+  // 3. Verify with the exact evaluator. Each lane's best is seeded at the
+  // acceptance threshold and doubles as its branch-and-bound cutoff: a
+  // candidate whose delay provably exceeds it can never win, so its
+  // evaluation may stop early.
+  const bool bounded = options.criticality.empty() && options.bounded_scoring;
+  std::vector<Scored> lane_best(lanes, Scored{accept_below, kNoCandidate});
+  scan(candidates.size(), "ldrg candidate scan", [&](std::size_t lane, std::size_t k) {
+    Scored& best = lane_best[lane];
+    graph::RoutingGraph trial = g;
+    trial.add_edge(candidates[k].u, candidates[k].v);
+    const double t = bounded ? evaluator.bounded_max_delay(trial, best.score)
+                             : evaluator.objective(trial, options.criticality);
+    if (t < best.score) best = Scored{t, k};
+  });
+
+  // 4. Reduce by (score, index), independent of lane count and scheduling.
+  Scored best{accept_below, kNoCandidate};
+  for (const Scored& lb : lane_best)
+    if (ranks_before(lb, best)) best = lb;
+
+  // 5. Accept the winner, or stop: no candidate improves t(G).
+  if (best.index == kNoCandidate) return std::nullopt;
+  return Pick{candidates[best.index], best.score};
+}
+
+/// The greedy loop behind ldrg and ldrg_screened.
 // NTR_HOT: the per-round candidate scan is the paper's O(n^2) inner
 // loop; everything this reaches must be allocation-disciplined.
-NTR_HOT LdrgResult ldrg(const graph::RoutingGraph& initial,
-                        const delay::DelayEvaluator& evaluator,
-                        const LdrgOptions& options) {
+NTR_HOT LdrgResult run_ldrg(const graph::RoutingGraph& initial,
+                            const delay::DelayEvaluator& evaluator,
+                            const LdrgOptions& options, const Ranking& ranking) {
   if (!initial.is_connected())
     throw std::invalid_argument("ldrg: initial routing must be connected");
+  if (!(options.min_relative_improvement >= 0.0))
+    throw std::invalid_argument(
+        "ldrg: min_relative_improvement must be non-negative");
 
   LdrgResult result;
   result.graph = initial;
-  result.initial_objective = objective(result.graph, evaluator, options.criticality);
+  result.initial_objective = evaluator.objective(result.graph, options.criticality);
   result.initial_cost = result.graph.total_wirelength();
   result.final_objective = result.initial_objective;
   result.final_cost = result.initial_cost;
 
   const double cost_budget = options.max_cost_ratio * result.initial_cost;
-  const bool weighted = !options.criticality.empty();
-
   const std::size_t lanes = options.parallel.resolved_threads();
   std::unique_ptr<ThreadPool> pool;
   if (lanes > 1) pool = std::make_unique<ThreadPool>(lanes);
@@ -92,116 +215,17 @@ NTR_HOT LdrgResult ldrg(const graph::RoutingGraph& initial,
     const double current = result.final_objective;
     const double accept_below =
         current * (1.0 - options.min_relative_improvement);
+    const std::optional<Pick> pick =
+        ldrg_round(result.graph, result.final_cost, cost_budget, accept_below,
+                   evaluator, ranking, options, pool.get(), lanes);
+    if (!pick) break;
 
-    // The paper's step 2: exists e_ij in N x N improving t(G)? Enumerate
-    // every absent pair (pins and Steiner points alike) within the cost
-    // budget; the enumeration order defines the tie-break index.
-    NTR_FAULT_POINT(kLdrgAllocation);
-    std::vector<Candidate> candidates;
-    const std::size_t pair_bound = result.graph.node_count() *
-                                   (result.graph.node_count() - 1) / 2;
-    candidates.reserve(pair_bound);
-    for (graph::NodeId u = 0; u < result.graph.node_count(); ++u) {
-      for (graph::NodeId v = u + 1; v < result.graph.node_count(); ++v) {
-        if (result.graph.has_edge(u, v)) continue;
-        const double edge_len = geom::manhattan_distance(
-            result.graph.node(u).pos, result.graph.node(v).pos);
-        if (result.final_cost + edge_len > cost_budget) continue;
-        candidates.push_back({u, v});
-      }
-    }
-    if (candidates.empty()) break;
-
-    // Incremental path: evaluators with a delta engine (Sherman-Morrison
-    // Elmore) score a candidate in O(n) off the cached factorization of
-    // the *current* graph. The cache is rebuilt here each round -- the
-    // accepted edge of the previous round invalidated it.
-    const std::unique_ptr<delay::CandidateScorer> scorer =
-        evaluator.make_candidate_scorer(result.graph);
-
-    // Lane-local scans with deterministic static chunking. Each lane
-    // tracks its own branch-and-bound cutoff, seeded at the acceptance
-    // threshold: a candidate whose delay provably exceeds the lane's best
-    // can never become the winner, so its evaluation may stop early.
-    std::vector<LaneBest> lane_best(lanes);
-    // One lane observing a tripped token raises the shared flag; the other
-    // lanes see it at their next stride check and break too, so the pool
-    // joins promptly and ldrg can rethrow the trip as a typed error.
-    std::atomic<bool> stop_hit{false};
-    parallel_chunks(pool.get(), candidates.size(),
-                    [&](std::size_t lane, std::size_t begin, std::size_t end) {
-                      LaneBest best;
-                      double bound = accept_below;
-                      for (std::size_t i = begin; i < end; ++i) {
-                        if (stop_engaged && (i - begin) % kLaneStopStride == 0) {
-                          if (stop_hit.load(std::memory_order_relaxed) ||
-                              options.stop.poll() != runtime::StatusCode::kOk) {
-                            stop_hit.store(true, std::memory_order_relaxed);
-                            break;
-                          }
-                        }
-                        const Candidate& c = candidates[i];
-                        double t;
-                        if (scorer) {
-                          t = sink_objective(
-                              scorer->candidate_sink_delays(c.u, c.v),
-                              options.criticality);
-                        } else {
-                          graph::RoutingGraph trial = result.graph;
-                          trial.add_edge(c.u, c.v);
-                          t = (!weighted && options.bounded_scoring)
-                                  ? evaluator.bounded_max_delay(trial, bound)
-                                  : objective(trial, evaluator,
-                                              options.criticality);
-                        }
-                        if (t < bound) {
-                          bound = t;
-                          best = LaneBest{t, i};
-                        }
-                      }
-                      lane_best[lane] = best;
-                    });
-    if (stop_hit.load(std::memory_order_relaxed))
-      options.stop.throw_if_stopped("ldrg candidate scan");
-
-    // Deterministic reduction: lowest score wins, ties go to the lowest
-    // candidate index -- independent of lane count and scheduling.
-    LaneBest best;
-    for (const LaneBest& lb : lane_best) {
-      if (lb.index == std::numeric_limits<std::size_t>::max()) continue;
-      if (lb.score < best.score ||
-          (lb.score == best.score && lb.index < best.index))
-        best = lb;
-    }
-    if (best.index == std::numeric_limits<std::size_t>::max() ||
-        !(best.score < accept_below))
-      break;  // no candidate improves t(G)
-
-    const Candidate winner = candidates[best.index];
-    result.graph.add_edge(winner.u, winner.v);
-
-    // Delta scores carry O(1e-12) relative error; re-measure the accepted
-    // routing with the exact oracle so every reported objective is the
-    // evaluator's own number. (Without a scorer the scan value *is* the
-    // exact evaluator output for this graph, bit for bit.)
-    double accepted = best.score;
-    if (scorer) {
-      accepted = objective(result.graph, evaluator, options.criticality);
-      if (!(accepted < accept_below)) {
-        // The delta promised an improvement the exact solve cannot
-        // confirm (a sub-1e-12 margin): undo and stop.
-        const auto e = result.graph.find_edge(winner.u, winner.v);
-        NTR_CHECK(e.has_value());
-        result.graph.remove_edge(*e);
-        break;
-      }
-    }
-
-    result.final_objective = accepted;
+    result.graph.add_edge(pick->edge.u, pick->edge.v);
+    result.final_objective = pick->objective;
     result.final_cost = result.graph.total_wirelength();
     // ntr-alloc-in-hot-path(one step per accepted round; the trace IS the result)
-    result.steps.push_back(
-        LdrgStep{winner.u, winner.v, current, accepted, result.final_cost});
+    result.steps.push_back(LdrgStep{pick->edge.u, pick->edge.v, current,
+                                    pick->objective, result.final_cost});
   }
 
   // Every accepted edge strictly improved the objective and stayed within
@@ -213,6 +237,27 @@ NTR_HOT LdrgResult ldrg(const graph::RoutingGraph& initial,
       graph::validate_graph(result.graph, {.require_connected = true}),
       "ldrg postcondition"));
   return result;
+}
+
+}  // namespace
+
+LdrgResult ldrg(const graph::RoutingGraph& initial,
+                const delay::DelayEvaluator& evaluator, const LdrgOptions& options) {
+  // The evaluator's own scorer estimates the objective it verifies, so
+  // only the best-ranked candidate needs the exact evaluation.
+  return run_ldrg(initial, evaluator, options,
+                  Ranking{&evaluator, 1, /*scores_objective=*/true});
+}
+
+LdrgResult ldrg_screened(const graph::RoutingGraph& initial,
+                         const delay::DelayEvaluator& evaluator,
+                         const spice::Technology& tech,
+                         const ScreenedLdrgOptions& options) {
+  if (options.verify_top_k == 0)
+    throw std::invalid_argument("ldrg_screened: verify_top_k must be positive");
+  const delay::GraphElmoreEvaluator screen(tech);
+  return run_ldrg(initial, evaluator, options.base,
+                  Ranking{&screen, options.verify_top_k, /*scores_objective=*/false});
 }
 
 }  // namespace ntr::core

@@ -8,6 +8,7 @@
 #include "delay/evaluator.h"
 #include "graph/routing_graph.h"
 #include "runtime/stop.h"
+#include "spice/technology.h"
 
 namespace ntr::core {
 
@@ -27,7 +28,8 @@ struct LdrgOptions {
   std::size_t max_added_edges = std::numeric_limits<std::size_t>::max();
 
   /// A candidate edge is accepted only if it improves the objective by
-  /// more than this fraction -- guards against chasing solver noise.
+  /// more than this fraction -- guards against chasing solver noise. Must
+  /// be non-negative: a negative value would accept worsening edges.
   double min_relative_improvement = 1e-9;
 
   /// Wirelength budget: candidates that would push total cost above
@@ -47,12 +49,12 @@ struct LdrgOptions {
   /// so the lane count can never change the chosen edge.
   ParallelConfig parallel;
 
-  /// Lets the evaluator stop scoring a candidate as soon as its delay
+  /// Lets the evaluator stop verifying a candidate as soon as its delay
   /// provably exceeds the best score seen so far (bounded_max_delay). A
   /// pure branch-and-bound cutoff: pruned candidates were never winners,
   /// so the selected edges and reported objectives are unchanged. Only
-  /// applies to the ORG (max-delay) objective without an incremental
-  /// scorer; disable to force full scoring of every candidate.
+  /// applies to the ORG (max-delay) objective; disable to force full
+  /// scoring of every verified candidate.
   bool bounded_scoring = true;
 
   /// Cooperative deadline/cancellation. Polled at every round boundary
@@ -85,7 +87,35 @@ struct LdrgResult {
 ///
 /// When `initial` contains Steiner nodes this is exactly the SLDRG loop of
 /// Figure 6: candidate endpoints range over pins and Steiner points alike.
+///
+/// Each round enumerates the absent pairs within the cost budget. When the
+/// evaluator offers a CandidateScorer, the scorer ranks them and only the
+/// best one is measured exactly; otherwise every candidate is measured.
+/// Throws std::invalid_argument when `initial` is disconnected or
+/// min_relative_improvement is negative or NaN.
 LdrgResult ldrg(const graph::RoutingGraph& initial,
                 const delay::DelayEvaluator& evaluator, const LdrgOptions& options = {});
+
+struct ScreenedLdrgOptions {
+  LdrgOptions base{};
+  /// How many screener-ranked candidates are verified with the accurate
+  /// evaluator per round. 1 = trust the screen completely; larger values
+  /// close the (small) fidelity gap between graph Elmore and simulation.
+  std::size_t verify_top_k = 4;
+};
+
+/// Screened LDRG: the same rounds as ldrg(), ranked by the graph-Elmore
+/// Sherman-Morrison scorer for `tech` (O(n) per candidate) instead of the
+/// evaluator's own, with the top verify_top_k candidates verified by
+/// `evaluator`. Plain ldrg() with the transient evaluator runs a quadratic
+/// number of simulations per round, the cost the paper flags as
+/// impractical for SPICE-in-the-loop routing; here a round costs one
+/// factorization plus verify_top_k simulations, and the accurate oracle
+/// still gates every accepted edge. Throws std::invalid_argument as
+/// ldrg() does, and when verify_top_k is 0.
+LdrgResult ldrg_screened(const graph::RoutingGraph& initial,
+                         const delay::DelayEvaluator& evaluator,
+                         const spice::Technology& tech,
+                         const ScreenedLdrgOptions& options = {});
 
 }  // namespace ntr::core

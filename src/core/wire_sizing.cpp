@@ -6,12 +6,6 @@ namespace ntr::core {
 
 namespace {
 
-double objective(const graph::RoutingGraph& g, const delay::DelayEvaluator& evaluator,
-                 const std::vector<double>& criticality) {
-  return criticality.empty() ? evaluator.max_delay(g)
-                             : evaluator.weighted_delay(g, criticality);
-}
-
 /// Smallest available width strictly above `current`, or 0 if none.
 double next_width(const std::vector<double>& widths, double current) {
   double best = 0.0;
@@ -32,7 +26,7 @@ WireSizingResult greedy_wire_sizing(const graph::RoutingGraph& initial,
 
   WireSizingResult result;
   result.graph = initial;
-  result.initial_objective = objective(result.graph, evaluator, options.criticality);
+  result.initial_objective = evaluator.objective(result.graph, options.criticality);
   result.initial_area = result.graph.total_wire_area();
   result.final_objective = result.initial_objective;
   result.final_area = result.initial_area;
@@ -56,7 +50,7 @@ WireSizingResult greedy_wire_sizing(const graph::RoutingGraph& initial,
 
       graph::RoutingGraph trial = result.graph;
       trial.set_edge_width(e, w);
-      const double t = objective(trial, evaluator, options.criticality);
+      const double t = evaluator.objective(trial, options.criticality);
       if (t < best_objective) {
         best_objective = t;
         best_edge = e;

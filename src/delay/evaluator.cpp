@@ -1,6 +1,7 @@
 #include "delay/evaluator.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "delay/elmore.h"
@@ -108,8 +109,8 @@ std::vector<double> TwoPoleWaveformEvaluator::sink_delays(
   return out;
 }
 
-std::vector<double> TransientEvaluator::sink_delays(
-    const graph::RoutingGraph& g) const {
+sim::TransientSimulator::ThresholdReport TransientEvaluator::measure(
+    const graph::RoutingGraph& g, double give_up_s) const {
   const spice::GraphNetlist netlist = spice::build_netlist(g, tech_, netlist_options_);
   std::vector<spice::CircuitNode> watch;
   watch.reserve(netlist.sink_graph_nodes.size());
@@ -117,22 +118,17 @@ std::vector<double> TransientEvaluator::sink_delays(
     watch.push_back(netlist.graph_to_circuit[s]);
 
   sim::TransientSimulator simulator(netlist.circuit, transient_options_);
-  const auto report = simulator.measure_crossings(watch, tech_.threshold_fraction);
-  return report.crossing_s;
+  return simulator.measure_crossings(watch, tech_.threshold_fraction, give_up_s);
+}
+
+std::vector<double> TransientEvaluator::sink_delays(
+    const graph::RoutingGraph& g) const {
+  return measure(g, std::numeric_limits<double>::infinity()).crossing_s;
 }
 
 double TransientEvaluator::bounded_max_delay(const graph::RoutingGraph& g,
                                              double give_up_s) const {
-  const spice::GraphNetlist netlist = spice::build_netlist(g, tech_, netlist_options_);
-  std::vector<spice::CircuitNode> watch;
-  watch.reserve(netlist.sink_graph_nodes.size());
-  for (const graph::NodeId s : netlist.sink_graph_nodes)
-    watch.push_back(netlist.graph_to_circuit[s]);
-
-  sim::TransientSimulator simulator(netlist.circuit, transient_options_);
-  const auto report =
-      simulator.measure_crossings(watch, tech_.threshold_fraction, give_up_s);
-  return report.max_crossing_s;
+  return measure(g, give_up_s).max_crossing_s;
 }
 
 std::unique_ptr<DelayEvaluator> make_evaluator(const std::string& name,

@@ -55,6 +55,13 @@ class DelayEvaluator {
   [[nodiscard]] double weighted_delay(const graph::RoutingGraph& g,
                                       std::span<const double> criticality) const;
 
+  /// The routing objective every optimizer in core/ minimizes: max_delay
+  /// when `criticality` is empty (ORG), weighted_delay otherwise (CSORG).
+  [[nodiscard]] double objective(const graph::RoutingGraph& g,
+                                 std::span<const double> criticality) const {
+    return criticality.empty() ? max_delay(g) : weighted_delay(g, criticality);
+  }
+
   /// Optional incremental engine for add-edge what-if queries against `g`.
   /// Evaluators without a delta path return nullptr and callers fall back
   /// to sink_delays() on a trial copy. The default has no delta path.
@@ -175,6 +182,11 @@ class TransientEvaluator final : public DelayEvaluator {
                                          double give_up_s) const override;
 
  private:
+  /// Builds g's netlist and marches it until every sink crosses the
+  /// threshold or the march passes `give_up_s` (+inf: never gives up).
+  [[nodiscard]] sim::TransientSimulator::ThresholdReport measure(
+      const graph::RoutingGraph& g, double give_up_s) const;
+
   spice::Technology tech_;
   spice::NetlistOptions netlist_options_;
   sim::TransientOptions transient_options_;

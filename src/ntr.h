@@ -12,7 +12,7 @@
 ///   spice/    Table-1 technology, linear netlists, deck I/O, graph->RC
 ///   sim/      MNA, DC/moments, transient engine (the SPICE substitute)
 ///   delay/    Elmore (tree + graph), D2M, bounds, Sherman-Morrison
-///             screener, pluggable DelayEvaluator
+///             incremental Elmore, pluggable DelayEvaluator
 ///   steiner/  Iterated 1-Steiner
 ///   route/    star/SPT, Prim-Dijkstra, BRBC, ERT/SERT
 ///   core/     LDRG, SLDRG, H1-H3, screened LDRG, exhaustive ORG,
@@ -28,14 +28,13 @@
 #include "core/heuristics.h"  // IWYU pragma: export
 #include "core/horg.h"  // IWYU pragma: export
 #include "core/ldrg.h"  // IWYU pragma: export
-#include "core/ldrg_screened.h"  // IWYU pragma: export
 #include "core/solver.h"  // IWYU pragma: export
 #include "core/wire_sizing.h"  // IWYU pragma: export
 #include "delay/bounds.h"  // IWYU pragma: export
 #include "delay/elmore.h"  // IWYU pragma: export
 #include "delay/evaluator.h"  // IWYU pragma: export
+#include "delay/incremental_elmore.h"  // IWYU pragma: export
 #include "delay/moments.h"  // IWYU pragma: export
-#include "delay/screener.h"  // IWYU pragma: export
 #include "delay/two_pole.h"  // IWYU pragma: export
 #include "expt/comparison.h"  // IWYU pragma: export
 #include "expt/net_generator.h"  // IWYU pragma: export

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "check/contracts.h"
 #include "check/faultinject.h"
@@ -15,7 +16,7 @@ namespace ntr::sim {
 namespace {
 
 /// How often the time-march loops poll the stop token (and the
-/// fault-injection deadline site). A power of two so the test reduces to
+/// fault-injection sites). A power of two so the test reduces to
 /// a mask; 64 keeps the un-engaged overhead unmeasurable while bounding
 /// deadline overshoot to a handful of LU solves.
 constexpr std::size_t kStopPollStride = 64;
@@ -90,61 +91,86 @@ void TransientSimulator::ensure_factorizations() {
   const bool need_be = options_.method == Integration::kBackwardEuler ||
                        options_.startup_be_steps > 0;
   const bool need_trap = options_.method == Integration::kTrapezoidal;
-  if (need_be && !lu_be_)
-    lu_be_ = std::make_unique<linalg::LuFactorization>(companion_matrix(mna_, 1.0 / h_));
-  if (need_trap && !lu_trap_)
-    lu_trap_ =
+  if (need_be && !fixed_.be)
+    fixed_.be = std::make_unique<linalg::LuFactorization>(companion_matrix(mna_, 1.0 / h_));
+  if (need_trap && !fixed_.trap)
+    fixed_.trap =
         std::make_unique<linalg::LuFactorization>(companion_matrix(mna_, 2.0 / h_));
 }
 
-void TransientSimulator::advance(linalg::Vector& x, bool use_be) const {
+void TransientSimulator::checkpoint(std::size_t step, const char* where) const {
+  if (!is_poll_step(step)) return;
+  NTR_FAULT_POINT(kTransientDeadline);
+  NTR_FAULT_POINT(kTransientNonFinite);
+  if (options_.stop.engaged()) options_.stop.throw_if_stopped(where);
+}
+
+void TransientSimulator::advance(linalg::Vector& x, double h, const Factors& f,
+                                 bool use_be) const {
   const std::size_t n = mna_.size();
   NTR_DCHECK(x.size() == n);
-  NTR_DCHECK(use_be ? lu_be_ != nullptr : lu_trap_ != nullptr);
+  NTR_DCHECK(use_be ? f.be != nullptr : f.trap != nullptr);
   linalg::Vector rhs(n);
   if (use_be) {
     // (G + C/h) x1 = (C/h) x0 + b
     rhs = mna_.c.multiply(x);
-    for (std::size_t i = 0; i < n; ++i) rhs[i] = rhs[i] / h_ + mna_.b_final[i];
-    x = lu_be_->solve(rhs);
+    for (std::size_t i = 0; i < n; ++i) rhs[i] = rhs[i] / h + mna_.b_final[i];
+    x = f.be->solve(rhs);
   } else {
     // (G + 2C/h) x1 = (2C/h - G) x0 + 2b
     const linalg::Vector cx = mna_.c.multiply(x);
     const linalg::Vector gx = mna_.g.multiply(x);
     for (std::size_t i = 0; i < n; ++i)
-      rhs[i] = 2.0 * cx[i] / h_ - gx[i] + 2.0 * mna_.b_final[i];
-    x = lu_trap_->solve(rhs);
+      rhs[i] = 2.0 * cx[i] / h - gx[i] + 2.0 * mna_.b_final[i];
+    x = f.trap->solve(rhs);
+  }
+}
+
+/// Marches the step response from the zero state in up to `steps` fixed
+/// steps of h_: backward Euler for the first startup_be_steps (or always,
+/// under Integration::kBackwardEuler), trapezoidal after. After each step
+/// `observe(t, voltage)` sees the step's end time and a reader whose
+/// voltage(k) is watched node k's voltage, throwing NtrError(kNonFinite)
+/// when it is not finite; observers read only the nodes they still need.
+/// The observer returns false to stop the march early.
+template <class Observer>
+void TransientSimulator::march(std::span<const spice::CircuitNode> watch,
+                               std::size_t steps, const char* where,
+                               Observer&& observe) {
+  ensure_factorizations();
+  linalg::Vector x(mna_.size(), 0.0);
+  for (std::size_t step = 1; step <= steps; ++step) {
+    checkpoint(step, where);
+    const bool use_be = options_.method == Integration::kBackwardEuler ||
+                        step <= options_.startup_be_steps;
+    advance(x, h_, fixed_, use_be);
+    const double t = static_cast<double>(step) * h_;
+    const auto voltage = [&](std::size_t k) {
+      const double v = mna_.node_voltage(x, watch[k]);
+      if (!std::isfinite(v)) throw_non_finite(where, watch[k], t);
+      return v;
+    };
+    if (!observe(t, voltage)) return;
   }
 }
 
 TransientSimulator::Waveform TransientSimulator::run(
     double t_end_s, std::span<const spice::CircuitNode> watch) {
-  ensure_factorizations();
-  Waveform wf;
-  wf.voltage_v.resize(watch.size());
-
-  linalg::Vector x(mna_.size(), 0.0);
   const double t_end = std::min(t_end_s, t_max_);
   const auto total_steps = static_cast<std::size_t>(std::ceil(t_end / h_));
 
-  const auto record = [&](double t) {
-    wf.time_s.push_back(t);
-    for (std::size_t k = 0; k < watch.size(); ++k)
-      wf.voltage_v[k].push_back(mna_.node_voltage(x, watch[k]));
-  };
-
-  record(0.0);
-  const bool stop_engaged = options_.stop.engaged();
-  for (std::size_t step = 1; step <= total_steps; ++step) {
-    if (is_poll_step(step)) {
-      NTR_FAULT_POINT(kTransientDeadline);
-      if (stop_engaged) options_.stop.throw_if_stopped("transient run");
-    }
-    const bool use_be = options_.method == Integration::kBackwardEuler ||
-                        step <= options_.startup_be_steps;
-    advance(x, use_be);
-    record(static_cast<double>(step) * h_);
-  }
+  // The march starts from the zero state, so every watched node reads 0 V
+  // at t = 0.
+  Waveform wf;
+  wf.time_s.assign(1, 0.0);
+  wf.voltage_v.assign(watch.size(), std::vector<double>(1, 0.0));
+  march(watch, total_steps, "transient run",
+        [&](double t, const auto& voltage) {
+          wf.time_s.push_back(t);
+          for (std::size_t k = 0; k < watch.size(); ++k)
+            wf.voltage_v[k].push_back(voltage(k));
+          return true;
+        });
   return wf;
 }
 
@@ -164,36 +190,16 @@ TransientSimulator::Waveform TransientSimulator::run_adaptive(
 
   // Factorization cache per step size; steps move by factors of two, so
   // only a handful of sizes ever materialize.
-  struct Pair {
-    std::unique_ptr<linalg::LuFactorization> be, trap;
-  };
-  std::vector<std::pair<double, Pair>> cache;
-  const auto factors = [&](double h) -> Pair& {
-    for (auto& [key, pair] : cache)
-      if (key == h) return pair;
-    cache.emplace_back(h, Pair{});
-    Pair& pair = cache.back().second;
-    pair.be =
-        std::make_unique<linalg::LuFactorization>(companion_matrix(mna_, 1.0 / h));
-    pair.trap =
-        std::make_unique<linalg::LuFactorization>(companion_matrix(mna_, 2.0 / h));
-    return pair;
-  };
-
-  const auto step_with = [&](const linalg::Vector& x, double h, const Pair& f,
-                             bool use_be) {
-    const std::size_t n = mna_.size();
-    linalg::Vector rhs(n);
-    if (use_be) {
-      rhs = mna_.c.multiply(x);
-      for (std::size_t i = 0; i < n; ++i) rhs[i] = rhs[i] / h + mna_.b_final[i];
-      return f.be->solve(rhs);
-    }
-    const linalg::Vector cx = mna_.c.multiply(x);
-    const linalg::Vector gx = mna_.g.multiply(x);
-    for (std::size_t i = 0; i < n; ++i)
-      rhs[i] = 2.0 * cx[i] / h - gx[i] + 2.0 * mna_.b_final[i];
-    return f.trap->solve(rhs);
+  std::vector<std::pair<double, Factors>> cache;
+  const auto factors = [&](double h) -> const Factors& {
+    for (const auto& [key, f] : cache)
+      if (key == h) return f;
+    cache.emplace_back(
+        h, Factors{std::make_unique<linalg::LuFactorization>(
+                       companion_matrix(mna_, 1.0 / h)),
+                   std::make_unique<linalg::LuFactorization>(
+                       companion_matrix(mna_, 2.0 / h))});
+    return cache.back().second;
   };
 
   Waveform wf;
@@ -215,17 +221,15 @@ TransientSimulator::Waveform TransientSimulator::run_adaptive(
 
   // The very first step is BE-only (inconsistent initial condition).
   bool startup = true;
-  const bool stop_engaged = options_.stop.engaged();
   std::size_t guard = 0;
   while (t < t_end && ++guard < 10'000'000) {
-    if (is_poll_step(guard)) {
-      NTR_FAULT_POINT(kTransientDeadline);
-      if (stop_engaged) options_.stop.throw_if_stopped("transient adaptive run");
-    }
+    checkpoint(guard, "transient adaptive run");
     h = std::min(h, std::max(t_end - t, h_min));
-    const Pair& f = factors(h);
-    const linalg::Vector x_trap = step_with(x, h, f, /*use_be=*/startup);
-    const linalg::Vector x_be = step_with(x, h, f, /*use_be=*/true);
+    const Factors& f = factors(h);
+    linalg::Vector x_trap = x;
+    advance(x_trap, h, f, /*use_be=*/startup);
+    linalg::Vector x_be = x;
+    advance(x_be, h, f, /*use_be=*/true);
 
     // LTE estimate: BE-vs-trapezoidal disagreement over node voltages.
     double err = 0.0;
@@ -236,7 +240,7 @@ TransientSimulator::Waveform TransientSimulator::run_adaptive(
       h *= 0.5;  // reject and retry smaller
       continue;
     }
-    x = x_trap;
+    x = std::move(x_trap);
     t += h;
     startup = false;
     record();
@@ -252,7 +256,6 @@ TransientSimulator::ThresholdReport TransientSimulator::measure_crossings(
     throw std::invalid_argument("measure_crossings: threshold must be in (0,1)");
   if (!(give_up_after_s >= 0.0))
     throw std::invalid_argument("measure_crossings: cutoff must be non-negative");
-  ensure_factorizations();
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
   ThresholdReport report;
@@ -273,40 +276,30 @@ TransientSimulator::ThresholdReport TransientSimulator::measure_crossings(
     }
   }
 
-  linalg::Vector x(mna_.size(), 0.0);
   std::vector<double> prev(watch.size(), 0.0);
-  double t = 0.0;
+  double t = 0.0;  // end time of the previous step
   const auto total_steps = static_cast<std::size_t>(std::ceil(t_max_ / h_));
-
-  const bool stop_engaged = options_.stop.engaged();
-  for (std::size_t step = 1; step <= total_steps && pending > 0; ++step) {
-    // A crossing found in this step interpolates into [t, t + h], so once
-    // the previous step time t is strictly past the cutoff, every pending
-    // node's crossing provably exceeds it -- stop and leave them at +inf.
-    if (t > give_up_after_s) break;
-    if (is_poll_step(step)) {
-      NTR_FAULT_POINT(kTransientDeadline);
-      NTR_FAULT_POINT(kTransientNonFinite);
-      if (stop_engaged) options_.stop.throw_if_stopped("transient march");
-    }
-    const bool use_be = options_.method == Integration::kBackwardEuler ||
-                        step <= options_.startup_be_steps;
-    advance(x, use_be);
-    const double t_next = static_cast<double>(step) * h_;
-    for (std::size_t k = 0; k < watch.size(); ++k) {
-      if (report.crossing_s[k] != kInf || threshold[k] == kInf) continue;
-      const double v = mna_.node_voltage(x, watch[k]);
-      if (!std::isfinite(v)) throw_non_finite("measure_crossings", watch[k], t_next);
-      if (v >= threshold[k]) {
-        const double dv = v - prev[k];
-        const double frac = dv > 0.0 ? (threshold[k] - prev[k]) / dv : 1.0;
-        report.crossing_s[k] = t + frac * h_;
-        --pending;
-      }
-      prev[k] = v;
-    }
-    t = t_next;
-  }
+  if (pending > 0)
+    march(watch, total_steps, "transient march",
+          [&](double t_next, const auto& voltage) {
+            for (std::size_t k = 0; k < watch.size(); ++k) {
+              if (report.crossing_s[k] != kInf || threshold[k] == kInf) continue;
+              const double v = voltage(k);
+              if (v >= threshold[k]) {
+                const double dv = v - prev[k];
+                const double frac = dv > 0.0 ? (threshold[k] - prev[k]) / dv : 1.0;
+                report.crossing_s[k] = t + frac * h_;
+                --pending;
+              }
+              prev[k] = v;
+            }
+            t = t_next;
+            // A crossing found in the next step interpolates into
+            // [t, t + h], so once t is strictly past the cutoff, every
+            // pending node's crossing provably exceeds it -- stop and
+            // leave them at +inf.
+            return pending > 0 && !(t > give_up_after_s);
+          });
 
   // A node that never reaches its threshold -- including nodes whose final
   // value is (numerically) zero -- leaves +inf in crossing_s, so both
@@ -329,7 +322,6 @@ TransientSimulator::MultiThresholdReport TransientSimulator::measure_multi_cross
       throw std::invalid_argument(
           "measure_multi_crossings: fractions must be strictly increasing");
   }
-  ensure_factorizations();
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
   MultiThresholdReport report;
@@ -347,41 +339,32 @@ TransientSimulator::MultiThresholdReport TransientSimulator::measure_multi_cross
     }
   }
 
-  linalg::Vector x(mna_.size(), 0.0);
   std::vector<double> prev(watch.size(), 0.0);
   // next_fraction[k]: index of the lowest threshold node k has not crossed.
   std::vector<std::size_t> next_fraction(watch.size(), 0);
-  double t = 0.0;
+  double t = 0.0;  // end time of the previous step
   const auto total_steps = static_cast<std::size_t>(std::ceil(t_max_ / h_));
-
-  const bool stop_engaged = options_.stop.engaged();
-  for (std::size_t step = 1; step <= total_steps && pending > 0; ++step) {
-    if (is_poll_step(step)) {
-      NTR_FAULT_POINT(kTransientDeadline);
-      if (stop_engaged) options_.stop.throw_if_stopped("transient multi march");
-    }
-    const bool use_be = options_.method == Integration::kBackwardEuler ||
-                        step <= options_.startup_be_steps;
-    advance(x, use_be);
-    for (std::size_t k = 0; k < watch.size(); ++k) {
-      if (!reachable[k]) continue;
-      const double v = mna_.node_voltage(x, watch[k]);
-      if (!std::isfinite(v))
-        throw_non_finite("measure_multi_crossings", watch[k],
-                         static_cast<double>(step) * h_);
-      while (next_fraction[k] < fractions.size()) {
-        const double threshold = fractions[next_fraction[k]] * report.final_v[k];
-        if (v < threshold) break;
-        const double dv = v - prev[k];
-        const double frac = dv > 0.0 ? (threshold - prev[k]) / dv : 1.0;
-        report.crossing_s[next_fraction[k]][k] = t + frac * h_;
-        ++next_fraction[k];
-        --pending;
-      }
-      prev[k] = v;
-    }
-    t = static_cast<double>(step) * h_;
-  }
+  if (pending > 0)
+    march(watch, total_steps, "transient multi march",
+          [&](double t_next, const auto& voltage) {
+            for (std::size_t k = 0; k < watch.size(); ++k) {
+              if (!reachable[k]) continue;
+              const double v = voltage(k);
+              while (next_fraction[k] < fractions.size()) {
+                const double threshold =
+                    fractions[next_fraction[k]] * report.final_v[k];
+                if (v < threshold) break;
+                const double dv = v - prev[k];
+                const double frac = dv > 0.0 ? (threshold - prev[k]) / dv : 1.0;
+                report.crossing_s[next_fraction[k]][k] = t + frac * h_;
+                ++next_fraction[k];
+                --pending;
+              }
+              prev[k] = v;
+            }
+            t = t_next;
+            return pending > 0;
+          });
 
   report.all_crossed = pending == 0 && watch.size() > 0 &&
                        std::all_of(reachable.begin(), reachable.end(),

@@ -123,20 +123,33 @@ class TransientSimulator {
                                          double hi_fraction = 0.9);
 
  private:
+  /// Companion-model factorizations for one step size h: (G + C/h) for
+  /// backward Euler, (G + 2C/h) for trapezoidal.
+  struct Factors {
+    std::unique_ptr<linalg::LuFactorization> be;
+    std::unique_ptr<linalg::LuFactorization> trap;
+  };
+
   MnaSystem mna_;
   linalg::Vector x_inf_;
   double tau_ = 0.0;
   double h_ = 0.0;
   double t_max_ = 0.0;
   TransientOptions options_;
-
-  // Companion-model factorizations: (G + C/h) for BE, (G + 2C/h) for trap.
-  std::unique_ptr<linalg::LuFactorization> lu_be_;
-  std::unique_ptr<linalg::LuFactorization> lu_trap_;
+  Factors fixed_;  ///< at the fixed step h_, built on first use
 
   void ensure_factorizations();
-  /// Advances x by one step of size h_; `use_be` picks the method.
-  void advance(linalg::Vector& x, bool use_be) const;
+  /// On poll steps (see transient.cpp), hits the fault-injection sites and
+  /// throws when the stop token has tripped; `where` names the loop.
+  void checkpoint(std::size_t step, const char* where) const;
+  /// Advances x by one step of size h with the companions `f`; `use_be`
+  /// picks the method.
+  void advance(linalg::Vector& x, double h, const Factors& f, bool use_be) const;
+  /// The fixed-step march from the zero state, shared by run and the
+  /// crossing measurements; see transient.cpp.
+  template <class Observer>
+  void march(std::span<const spice::CircuitNode> watch, std::size_t steps,
+             const char* where, Observer&& observe);
 };
 
 /// Convenience: max 50%-threshold delay over all watched nodes of a

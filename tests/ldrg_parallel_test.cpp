@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/ldrg.h"
-#include "core/ldrg_screened.h"
 #include "core/solver.h"
 #include "delay/evaluator.h"
 #include "expt/net_generator.h"

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/heuristics.h"
 #include "core/ldrg.h"
@@ -99,6 +100,24 @@ TEST(Ldrg, RejectsDisconnectedInput) {
   const graph::RoutingGraph g(net);  // no edges
   const delay::GraphElmoreEvaluator eval(kTech);
   EXPECT_THROW(ldrg(g, eval), std::invalid_argument);
+}
+
+TEST(Ldrg, RejectsNegativeOrNanMinRelativeImprovement) {
+  // A negative threshold would accept edges that worsen the objective.
+  const delay::GraphElmoreEvaluator eval(kTech);
+  const graph::RoutingGraph mst = graph::mst_routing(chain_net());
+  for (const double bad : {-1.0, -1e-12, std::numeric_limits<double>::quiet_NaN()}) {
+    LdrgOptions opts;
+    opts.min_relative_improvement = bad;
+    EXPECT_THROW(ldrg(mst, eval, opts), std::invalid_argument) << bad;
+    ScreenedLdrgOptions screened;
+    screened.base = opts;
+    EXPECT_THROW(ldrg_screened(mst, eval, kTech, screened), std::invalid_argument)
+        << bad;
+  }
+  LdrgOptions zero;
+  zero.min_relative_improvement = 0.0;
+  EXPECT_NO_THROW(ldrg(mst, eval, zero));
 }
 
 TEST(Ldrg, CriticalSinkObjectiveTargetsWeightedSum) {

@@ -10,8 +10,8 @@
 #include "delay/bounds.h"
 #include "delay/elmore.h"
 #include "delay/evaluator.h"
+#include "delay/incremental_elmore.h"
 #include "delay/moments.h"
-#include "delay/screener.h"
 #include "expt/net_generator.h"
 #include "graph/bridges.h"
 #include "graph/embedding.h"
@@ -108,7 +108,7 @@ TEST_P(GraphPropertyTest, EvaluatorRankingsAgreeWithEachOther) {
 TEST_P(GraphPropertyTest, ScreenerMatchesFullSolveOnArbitraryGraphs) {
   const auto [pins, chords] = GetParam();
   const graph::RoutingGraph g = random_routing(pins, chords, 13);
-  const delay::EdgeCandidateScreener screener(g, kTech);
+  const delay::IncrementalElmore screener(g, kTech);
   std::mt19937_64 rng(99);
   for (int k = 0; k < 8; ++k) {
     const graph::NodeId u = rng() % g.node_count();
@@ -117,7 +117,7 @@ TEST_P(GraphPropertyTest, ScreenerMatchesFullSolveOnArbitraryGraphs) {
     graph::RoutingGraph with = g;
     with.add_edge(u, v);
     const std::vector<double> full = delay::graph_elmore_delays(with, kTech);
-    const std::vector<double> fast = screener.screened_delays(u, v);
+    const std::vector<double> fast = screener.candidate_delays(u, v);
     for (std::size_t i = 0; i < full.size(); ++i)
       EXPECT_NEAR(fast[i], full[i], full[i] * 1e-6 + 1e-18);
   }

@@ -1,10 +1,13 @@
+// Screening: the Sherman-Morrison delta engine that ranks LDRG candidates
+// (delay::IncrementalElmore) and screened LDRG, which ranks with it and
+// verifies the top candidates with an accurate evaluator.
+
 #include <gtest/gtest.h>
 
 #include "core/ldrg.h"
-#include "core/ldrg_screened.h"
 #include "delay/evaluator.h"
+#include "delay/incremental_elmore.h"
 #include "delay/moments.h"
-#include "delay/screener.h"
 #include "expt/net_generator.h"
 #include "graph/routing_graph.h"
 
@@ -19,7 +22,7 @@ TEST_P(ScreenerTest, MatchesFullSolveForEveryCandidate) {
   expt::NetGenerator gen(9 + GetParam());
   const graph::Net net = gen.random_net(GetParam());
   const graph::RoutingGraph mst = graph::mst_routing(net);
-  const EdgeCandidateScreener screener(mst, kTech);
+  const IncrementalElmore screener(mst, kTech);
 
   for (graph::NodeId u = 0; u < mst.node_count(); ++u) {
     for (graph::NodeId v = u + 1; v < mst.node_count(); ++v) {
@@ -27,7 +30,7 @@ TEST_P(ScreenerTest, MatchesFullSolveForEveryCandidate) {
       graph::RoutingGraph with_edge = mst;
       with_edge.add_edge(u, v);
       const std::vector<double> full = graph_elmore_delays(with_edge, kTech);
-      const std::vector<double> screened = screener.screened_delays(u, v);
+      const std::vector<double> screened = screener.candidate_delays(u, v);
       ASSERT_EQ(full.size(), screened.size());
       for (std::size_t i = 0; i < full.size(); ++i) {
         EXPECT_NEAR(screened[i], full[i], full[i] * 1e-6 + 1e-18)
@@ -40,7 +43,7 @@ TEST_P(ScreenerTest, MatchesFullSolveForEveryCandidate) {
 TEST_P(ScreenerTest, BaseDelaysMatchMomentEngine) {
   expt::NetGenerator gen(31 + GetParam());
   const graph::RoutingGraph g = graph::mst_routing(gen.random_net(GetParam()));
-  const EdgeCandidateScreener screener(g, kTech);
+  const IncrementalElmore screener(g, kTech);
   const std::vector<double> reference = graph_elmore_delays(g, kTech);
   for (std::size_t i = 0; i < reference.size(); ++i)
     EXPECT_NEAR(screener.base_delays()[i], reference[i], reference[i] * 1e-9 + 1e-20);
@@ -52,11 +55,11 @@ TEST(Screener, WorksOnNonTreeBase) {
   expt::NetGenerator gen(55);
   graph::RoutingGraph g = graph::mst_routing(gen.random_net(9));
   g.add_edge(0, 5);  // base already has a cycle
-  const EdgeCandidateScreener screener(g, kTech);
+  const IncrementalElmore screener(g, kTech);
   graph::RoutingGraph with_edge = g;
   with_edge.add_edge(2, 7);
   const std::vector<double> full = graph_elmore_delays(with_edge, kTech);
-  const std::vector<double> screened = screener.screened_delays(2, 7);
+  const std::vector<double> screened = screener.candidate_delays(2, 7);
   for (std::size_t i = 0; i < full.size(); ++i)
     EXPECT_NEAR(screened[i], full[i], full[i] * 1e-6 + 1e-18);
 }
@@ -64,10 +67,10 @@ TEST(Screener, WorksOnNonTreeBase) {
 TEST(Screener, RejectsInvalidPairs) {
   expt::NetGenerator gen(5);
   const graph::RoutingGraph g = graph::mst_routing(gen.random_net(5));
-  const EdgeCandidateScreener screener(g, kTech);
-  EXPECT_THROW(static_cast<void>(screener.screened_delays(1, 1)),
+  const IncrementalElmore screener(g, kTech);
+  EXPECT_THROW(static_cast<void>(screener.candidate_delays(1, 1)),
                std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(screener.screened_delays(0, 99)),
+  EXPECT_THROW(static_cast<void>(screener.candidate_delays(0, 99)),
                std::invalid_argument);
 }
 
@@ -115,6 +118,21 @@ TEST(ScreenedLdrg, CriticalityWeightedObjective) {
   core::ScreenedLdrgOptions bad;
   bad.base.criticality = {1.0};
   EXPECT_THROW(core::ldrg_screened(mst, eval, kTech, bad), std::invalid_argument);
+}
+
+TEST(ScreenedLdrg, HonoursCostBudget) {
+  // Screened LDRG runs the same rounds as plain LDRG, so it may never add
+  // an edge that pushes the wirelength past max_cost_ratio x the start.
+  const GraphElmoreEvaluator eval(kTech);
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    expt::NetGenerator gen(seed);
+    const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(10));
+    core::ScreenedLdrgOptions opts;
+    opts.base.max_cost_ratio = 1.05;
+    const core::LdrgResult res = core::ldrg_screened(mst, eval, kTech, opts);
+    EXPECT_LE(res.final_cost, 1.05 * res.initial_cost) << "seed " << seed;
+    EXPECT_DOUBLE_EQ(res.final_cost, res.graph.total_wirelength()) << "seed " << seed;
+  }
 }
 
 TEST(ScreenedLdrg, OptionValidation) {
