@@ -69,7 +69,14 @@ void BM_TransientDelay(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(eval.max_delay(g));
 }
-BENCHMARK(BM_TransientDelay)->Arg(5)->Arg(10)->Arg(20)->Arg(30);
+BENCHMARK(BM_TransientDelay)
+    ->Arg(5)
+    ->Arg(10)
+    ->Arg(20)
+    ->Arg(30)
+    ->Arg(100)
+    ->Arg(300)
+    ->Arg(1000);
 
 void BM_IteratedOneSteiner(benchmark::State& state) {
   const graph::Net net = make_net(static_cast<std::size_t>(state.range(0)));

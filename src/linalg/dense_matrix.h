@@ -8,10 +8,12 @@
 
 namespace ntr::linalg {
 
-/// Row-major dense square-or-rectangular matrix of doubles. Circuit
-/// matrices from 30-pin nets with a few pi-segments per edge stay well
-/// under ~10^3 nodes, where dense factorization is both simpler and faster
-/// than sparse alternatives; the CSR/CG path covers larger systems.
+/// Row-major dense square-or-rectangular matrix of doubles. Dense
+/// factorizations serve small systems and the indefinite MNA systems of
+/// RLC decks. Circuit conductance matrices are sparse, and the envelope
+/// factorization of linalg/sparse_cholesky.h serves them where speed
+/// matters: the transient march of RC decks at every size, and the moment
+/// engine above 320 nodes.
 class DenseMatrix {
  public:
   DenseMatrix() = default;

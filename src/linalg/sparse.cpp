@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "runtime/status.h"
 
@@ -40,6 +41,35 @@ CsrMatrix::CsrMatrix(const TripletBuilder& builder) : cols_(builder.cols()) {
     i = j;
   }
   for (std::size_t r = 0; r < n_rows; ++r) row_ptr_[r + 1] += row_ptr_[r];
+}
+
+CsrMatrix::CsrMatrix(std::size_t cols, std::vector<std::size_t> row_ptr,
+                     std::vector<std::size_t> col_idx, std::vector<double> values)
+    : cols_(cols),
+      row_ptr_(std::move(row_ptr)),
+      col_idx_(std::move(col_idx)),
+      values_(std::move(values)) {
+  if (row_ptr_.empty() || row_ptr_.front() != 0 || row_ptr_.back() != col_idx_.size() ||
+      values_.size() != col_idx_.size() ||
+      !std::is_sorted(row_ptr_.begin(), row_ptr_.end()))
+    throw std::invalid_argument("CsrMatrix: row_ptr/col_idx/values disagree");
+  for (std::size_t r = 0; r < rows(); ++r) {
+    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
+      if (col_idx_[k] >= cols_ || (k > row_ptr_[r] && col_idx_[k] <= col_idx_[k - 1]))
+        throw std::invalid_argument(
+            "CsrMatrix: columns must be in range and strictly increasing per row");
+  }
+}
+
+CsrMatrix CsrMatrix::with_values(std::vector<double> values) const {
+  if (values.size() != values_.size())
+    throw std::invalid_argument("CsrMatrix::with_values: one value per stored entry");
+  CsrMatrix m;
+  m.cols_ = cols_;
+  m.row_ptr_ = row_ptr_;
+  m.col_idx_ = col_idx_;
+  m.values_ = std::move(values);
+  return m;
 }
 
 Vector CsrMatrix::multiply(std::span<const double> x) const {

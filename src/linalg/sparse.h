@@ -37,10 +37,24 @@ class CsrMatrix {
  public:
   CsrMatrix() = default;
   explicit CsrMatrix(const TripletBuilder& builder);
+  /// Adopts a pattern built by the caller: row r holds entries
+  /// [row_ptr[r], row_ptr[r + 1]) with strictly increasing columns.
+  /// Entries may be explicit zeros, so several matrices can share one
+  /// structural pattern. Throws std::invalid_argument on a malformed
+  /// pattern.
+  CsrMatrix(std::size_t cols, std::vector<std::size_t> row_ptr,
+            std::vector<std::size_t> col_idx, std::vector<double> values);
 
   [[nodiscard]] std::size_t rows() const { return row_ptr_.empty() ? 0 : row_ptr_.size() - 1; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
   [[nodiscard]] std::size_t nnz() const { return values_.size(); }
+
+  [[nodiscard]] std::span<const std::size_t> row_ptr() const { return row_ptr_; }
+  [[nodiscard]] std::span<const std::size_t> col_idx() const { return col_idx_; }
+  [[nodiscard]] std::span<const double> values() const { return values_; }
+
+  /// A matrix with this one's pattern and `values` (one per stored entry).
+  [[nodiscard]] CsrMatrix with_values(std::vector<double> values) const;
 
   /// y = A x
   [[nodiscard]] Vector multiply(std::span<const double> x) const;

@@ -1,11 +1,9 @@
 #include "linalg/sparse_cholesky.h"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
-#include <queue>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "check/faultinject.h"
 #include "runtime/status.h"
@@ -16,99 +14,134 @@ std::vector<std::size_t> reverse_cuthill_mckee(const CsrMatrix& pattern) {
   const std::size_t n = pattern.rows();
   if (pattern.cols() != n)
     throw std::invalid_argument("reverse_cuthill_mckee: matrix must be square");
+  const std::span<const std::size_t> row_ptr = pattern.row_ptr();
+  const std::span<const std::size_t> col_idx = pattern.col_idx();
 
-  // Adjacency (off-diagonal pattern) and degrees.
-  std::vector<std::vector<std::size_t>> adj(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < n; ++c) {
-      if (c != r && pattern.at(r, c) != 0.0) adj[r].push_back(c);
-    }
-  }
-  const auto degree = [&](std::size_t v) { return adj[v].size(); };
+  // Off-diagonal degree of every vertex.
+  std::vector<std::size_t> degree(n, 0);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k)
+      degree[r] += col_idx[k] != r;
+  const auto by_degree = [&](std::size_t a, std::size_t b) {
+    return degree[a] < degree[b];
+  };
 
+  // Breadth-first: `order` doubles as the queue, because vertices leave
+  // it in the order they entered.
   std::vector<std::size_t> order;
   order.reserve(n);
   std::vector<bool> visited(n, false);
-
+  std::size_t head = 0;
   while (order.size() < n) {
     // Start each component from a minimum-degree vertex (a cheap stand-in
     // for a pseudo-peripheral vertex).
     std::size_t start = n;
     for (std::size_t v = 0; v < n; ++v) {
-      if (!visited[v] && (start == n || degree(v) < degree(start))) start = v;
+      if (!visited[v] && (start == n || degree[v] < degree[start])) start = v;
     }
     visited[start] = true;
-    std::queue<std::size_t> frontier;
-    frontier.push(start);
-    while (!frontier.empty()) {
-      const std::size_t v = frontier.front();
-      frontier.pop();
-      order.push_back(v);
-      std::vector<std::size_t> next;
-      for (const std::size_t w : adj[v])
-        if (!visited[w]) {
+    order.push_back(start);
+    while (head < order.size()) {
+      const std::size_t v = order[head++];
+      const std::size_t first_child = order.size();
+      for (std::size_t k = row_ptr[v]; k < row_ptr[v + 1]; ++k) {
+        const std::size_t w = col_idx[k];
+        if (w != v && !visited[w]) {
           visited[w] = true;
-          next.push_back(w);
+          order.push_back(w);
         }
-      std::sort(next.begin(), next.end(),
-                [&](std::size_t a, std::size_t b) { return degree(a) < degree(b); });
-      for (const std::size_t w : next) frontier.push(w);
+      }
+      std::sort(order.begin() + static_cast<std::ptrdiff_t>(first_child), order.end(),
+                by_degree);
     }
   }
   std::reverse(order.begin(), order.end());
   return order;  // order[new_index] = old_index
 }
 
-EnvelopeCholesky::EnvelopeCholesky(const CsrMatrix& a, bool reorder) {
+Envelope::Envelope(const CsrMatrix& a, std::span<const std::size_t> order) {
   const std::size_t n = a.rows();
-  if (a.cols() != n)
-    throw std::invalid_argument("EnvelopeCholesky: matrix must be square");
+  if (a.cols() != n) throw std::invalid_argument("Envelope: matrix must be square");
+  if (!order.empty() && order.size() != n)
+    throw std::invalid_argument("Envelope: order must permute every row");
+  std::vector<std::size_t> inv(order.empty() ? 0 : n);
+  for (std::size_t i = 0; i < inv.size(); ++i) inv[order[i]] = i;
+  const std::span<const std::size_t> row_ptr = a.row_ptr();
+  const std::span<const std::size_t> col_idx = a.col_idx();
 
-  perm_.resize(n);
+  first_col.resize(n);
+  row_start.assign(n + 1, 0);
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t old_r = order.empty() ? r : order[r];
+    std::size_t first = r;
+    for (std::size_t k = row_ptr[old_r]; k < row_ptr[old_r + 1]; ++k)
+      first = std::min(first, inv.empty() ? col_idx[k] : inv[col_idx[k]]);
+    first_col[r] = first;
+    row_start[r + 1] = row_start[r] + (r - first + 1);
+  }
+}
+
+EnvelopeCholesky::EnvelopeCholesky(const CsrMatrix& a, bool reorder) {
+  if (a.cols() != a.rows())
+    throw std::invalid_argument("EnvelopeCholesky: matrix must be square");
   if (reorder) {
     perm_ = reverse_cuthill_mckee(a);
-  } else {
-    std::iota(perm_.begin(), perm_.end(), std::size_t{0});
+    inv_perm_.resize(perm_.size());
+    for (std::size_t i = 0; i < perm_.size(); ++i) inv_perm_[perm_[i]] = i;
   }
-  inv_perm_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) inv_perm_[perm_[i]] = i;
+  envelope_ = std::make_shared<const Envelope>(a, perm_);
+  load(a);
+  factor();
+}
 
-  // Envelope of the permuted matrix: first nonzero column per row.
-  first_col_.assign(n, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    std::size_t first = r;
-    for (std::size_t c = 0; c < n; ++c) {
-      if (a.at(perm_[r], perm_[c]) != 0.0) {
-        first = std::min(first, c);
-        break;  // columns scanned in order: the first hit is the minimum
-      }
+EnvelopeCholesky::EnvelopeCholesky(std::shared_ptr<const Envelope> envelope,
+                                   const CsrMatrix& a)
+    : envelope_(std::move(envelope)) {
+  if (!envelope_ || a.rows() != envelope_->size() || a.cols() != a.rows())
+    throw std::invalid_argument("EnvelopeCholesky: matrix does not fit the envelope");
+  load(a);
+  factor();
+}
+
+void EnvelopeCholesky::load(const CsrMatrix& a) {
+  const Envelope& env = *envelope_;
+  const std::span<const std::size_t> row_ptr = a.row_ptr();
+  const std::span<const std::size_t> col_idx = a.col_idx();
+  const std::span<const double> values = a.values();
+  values_.assign(env.stored_entries(), 0.0);
+  for (std::size_t old_r = 0; old_r < a.rows(); ++old_r) {
+    const std::size_t r = perm_.empty() ? old_r : inv_perm_[old_r];
+    for (std::size_t k = row_ptr[old_r]; k < row_ptr[old_r + 1]; ++k) {
+      const std::size_t c = perm_.empty() ? col_idx[k] : inv_perm_[col_idx[k]];
+      if (c > r) continue;  // upper triangle: the factor reads only the lower
+      if (c < env.first_col[r])
+        throw std::invalid_argument("EnvelopeCholesky: entry outside the envelope");
+      values_[row_base(r) + c] = values[k];
     }
-    first_col_[r] = std::min(first, r);
   }
-  // Cholesky fill keeps each row's envelope but rows below can only grow
-  // toward columns >= their own first_col; the row envelope is final.
-  row_start_.assign(n + 1, 0);
-  for (std::size_t r = 0; r < n; ++r)
-    row_start_[r + 1] = row_start_[r] + (r - first_col_[r] + 1);
-  values_.assign(row_start_[n], 0.0);
+}
 
-  // Load A (lower triangle) into the envelope.
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = first_col_[r]; c <= r; ++c)
-      values_[row_start_[r] + (c - first_col_[r])] = a.at(perm_[r], perm_[c]);
-
-  // Envelope Cholesky (row-oriented, in place).
+void EnvelopeCholesky::factor() {
+  const Envelope& env = *envelope_;
+  const std::size_t n = env.size();
+  inv_pivot_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = first_col_[i]; j < i; ++j) {
-      // l_ij = (a_ij - sum_{k} l_ik l_jk) / l_jj over the shared envelope.
-      const std::size_t k_lo = std::max(first_col_[i], first_col_[j]);
-      double s = values_[row_start_[i] + (j - first_col_[i])];
-      for (std::size_t k = k_lo; k < j; ++k)
-        s -= entry(i, k) * entry(j, k);
-      values_[row_start_[i] + (j - first_col_[i])] = s / entry(j, j);
+    const std::size_t fi = env.first_col[i];
+    double* li = values_.data() + row_base(i);  // li[c] = L(i, c)
+    // First t_ij = a_ij - sum_k t_ik l_jk = l_ij d_j over the shared
+    // envelope, then d_i = a_ii - sum_j t_ij l_ij and l_ij = t_ij / d_j.
+    for (std::size_t j = fi; j < i; ++j) {
+      const double* lj = values_.data() + row_base(j);
+      double t = li[j];
+      for (std::size_t k = std::max(fi, env.first_col[j]); k < j; ++k) t -= li[k] * lj[k];
+      li[j] = t;
     }
-    double d = values_[row_start_[i] + (i - first_col_[i])];
-    for (std::size_t k = first_col_[i]; k < i; ++k) d -= entry(i, k) * entry(i, k);
+    double d = li[i];
+    for (std::size_t j = fi; j < i; ++j) {
+      const double l = li[j] * inv_pivot_[j];
+      d -= li[j] * l;
+      li[j] = l;
+    }
     NTR_FAULT_POINT(kCholeskyNotSpd);
     if (d <= 0.0)
       throw runtime::NtrError(
@@ -116,31 +149,71 @@ EnvelopeCholesky::EnvelopeCholesky(const CsrMatrix& a, bool reorder) {
           "EnvelopeCholesky: matrix not positive definite (n=" +
               std::to_string(n) + ", pivot " + std::to_string(i) +
               " reduced to " + std::to_string(d) + ")");
-    values_[row_start_[i] + (i - first_col_[i])] = std::sqrt(d);
+    li[i] = 1.0;
+    inv_pivot_[i] = 1.0 / d;
+  }
+}
+
+void EnvelopeCholesky::solve_in_place(std::span<double> x, const CsrMatrix& m,
+                                      std::span<const double> v) const {
+  if (x.size() != size() || m.rows() != size() || m.cols() != v.size())
+    throw std::invalid_argument("EnvelopeCholesky::solve: size");
+  substitute(x, &m, v);
+}
+
+void EnvelopeCholesky::substitute(std::span<double> x, const CsrMatrix* m,
+                                  std::span<const double> v) const {
+  const Envelope& env = *envelope_;
+  const std::size_t n = env.size();
+  // Forward substitution, L y = x + M v, row by row. Row i's product does
+  // not depend on the sweep, so it overlaps the sweep's dependency chain;
+  // y_{i-1}, the last term of row i, comes from a register, not memory.
+  double last = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = x[i];
+    if (m != nullptr) {
+      const std::span<const std::size_t> row_ptr = m->row_ptr();
+      const std::span<const std::size_t> col_idx = m->col_idx();
+      const std::span<const double> values = m->values();
+      for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k)
+        s += values[k] * v[col_idx[k]];
+    }
+    const double* li = values_.data() + row_base(i);
+    if (env.first_col[i] < i) {
+      for (std::size_t k = env.first_col[i]; k + 1 < i; ++k) s -= li[k] * x[k];
+      s -= li[i - 1] * last;
+    }
+    x[i] = s;
+    last = s;
+  }
+  for (std::size_t i = 0; i < n; ++i) x[i] *= inv_pivot_[i];  // D z = y
+  // Back substitution, L^T x = z: row i of L is column i of L^T, so once
+  // x_i is known its contributions leave the rows above in one sweep; the
+  // one to x_{i-1}, needed next, is carried in a register.
+  double carry = 0.0;
+  for (std::size_t i = n; i-- > 0;) {
+    const double* li = values_.data() + row_base(i);
+    const double xi = x[i] - carry;
+    x[i] = xi;
+    carry = 0.0;
+    if (env.first_col[i] < i) {
+      for (std::size_t k = env.first_col[i]; k + 1 < i; ++k) x[k] -= li[k] * xi;
+      carry = li[i - 1] * xi;
+    }
   }
 }
 
 Vector EnvelopeCholesky::solve(std::span<const double> b) const {
   const std::size_t n = size();
   if (b.size() != n) throw std::invalid_argument("EnvelopeCholesky::solve: size");
-
-  // Permute, forward-substitute (L y = Pb), back-substitute (L^T z = y),
-  // un-permute.
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[perm_[i]];
-    for (std::size_t k = first_col_[i]; k < i; ++k) s -= entry(i, k) * y[k];
-    y[i] = s / entry(i, i);
+  if (perm_.empty()) {
+    Vector x(b.begin(), b.end());
+    substitute(x, nullptr, {});
+    return x;
   }
   Vector z(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    // Column ii of L below the diagonal: rows whose envelope reaches ii.
-    for (std::size_t r = ii + 1; r < n; ++r) {
-      if (first_col_[r] <= ii) s -= entry(r, ii) * z[r];
-    }
-    z[ii] = s / entry(ii, ii);
-  }
+  for (std::size_t i = 0; i < n; ++i) z[i] = b[perm_[i]];
+  substitute(z, nullptr, {});
   Vector x(n);
   for (std::size_t i = 0; i < n; ++i) x[perm_[i]] = z[i];
   return x;

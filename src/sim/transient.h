@@ -5,10 +5,8 @@
 #include <span>
 #include <vector>
 
-#include "linalg/dense_matrix.h"
 #include "linalg/vector_ops.h"
 #include "runtime/stop.h"
-#include "sim/mna.h"
 #include "spice/netlist.h"
 
 namespace ntr::sim {
@@ -37,14 +35,28 @@ struct TransientOptions {
   runtime::StopToken stop{};
 };
 
-/// Step-response transient engine over an assembled MNA system. This is
-/// the repo's SPICE substitute: for the paper's linear RC(L) decks it
-/// computes the same waveforms a SPICE .TRAN analysis would, via LU-
-/// factored companion models at a fixed step.
+/// The circuit in the form TransientSimulator steps: the Norton-reduced RC
+/// system or the dense MNA system (defined in transient.cpp).
+class TransientEngine;
+/// Companion models for one step size h: (G + C/h) for backward Euler,
+/// (G + 2C/h) for trapezoidal, factored by the engine that built them.
+class CompanionModels;
+
+/// Step-response transient engine: the repo's SPICE substitute. For the
+/// paper's linear RC(L) decks it computes the same waveforms a SPICE .TRAN
+/// analysis would, via companion models factored once per step size. The
+/// deck picks the backend: an RC deck (see RcSystem in sim/mna.h; every
+/// deck spice::build_netlist emits without inductance) is Norton-reduced to an
+/// SPD system and marched on envelope Cholesky factors and CSR products,
+/// with no heap allocation per step; any other deck keeps the dense MNA
+/// system and LU.
 class TransientSimulator {
  public:
   explicit TransientSimulator(const spice::Circuit& circuit,
                               const TransientOptions& options = {});
+  ~TransientSimulator();
+  TransientSimulator(TransientSimulator&&) noexcept;
+  TransientSimulator& operator=(TransientSimulator&&) noexcept;
 
   /// tau estimate (max Elmore over nodes) used for auto stepping.
   [[nodiscard]] double characteristic_time() const { return tau_; }
@@ -53,9 +65,7 @@ class TransientSimulator {
 
   /// Voltage of `node` in the DC steady state (final value of the step
   /// response).
-  [[nodiscard]] double final_voltage(spice::CircuitNode node) const {
-    return mna_.node_voltage(x_inf_, node);
-  }
+  [[nodiscard]] double final_voltage(spice::CircuitNode node) const;
 
   struct Waveform {
     std::vector<double> time_s;
@@ -123,28 +133,20 @@ class TransientSimulator {
                                          double hi_fraction = 0.9);
 
  private:
-  /// Companion-model factorizations for one step size h: (G + C/h) for
-  /// backward Euler, (G + 2C/h) for trapezoidal.
-  struct Factors {
-    std::unique_ptr<linalg::LuFactorization> be;
-    std::unique_ptr<linalg::LuFactorization> trap;
-  };
-
-  MnaSystem mna_;
-  linalg::Vector x_inf_;
+  std::unique_ptr<const TransientEngine> engine_;
   double tau_ = 0.0;
   double h_ = 0.0;
   double t_max_ = 0.0;
   TransientOptions options_;
-  Factors fixed_;  ///< at the fixed step h_, built on first use
+  /// Companions at the fixed step h_, built on first use.
+  std::unique_ptr<const CompanionModels> fixed_;
 
-  void ensure_factorizations();
+  void ensure_companions();
   /// On poll steps (see transient.cpp), hits the fault-injection sites and
   /// throws when the stop token has tripped; `where` names the loop.
   void checkpoint(std::size_t step, const char* where) const;
-  /// Advances x by one step of size h with the companions `f`; `use_be`
-  /// picks the method.
-  void advance(linalg::Vector& x, double h, const Factors& f, bool use_be) const;
+  /// The state at t = 0: every unknown at zero, constant slots set.
+  [[nodiscard]] linalg::Vector initial_state() const;
   /// The fixed-step march from the zero state, shared by run and the
   /// crossing measurements; see transient.cpp.
   template <class Observer>

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
@@ -98,6 +99,65 @@ inline check::ValidationReport validate_mna(const MnaSystem& mna,
           e.what());
     }
   }
+  return report;
+}
+
+/// Validates a Norton-reduced RC system (see RcSystem): consistent
+/// dimensions, G and C on one pattern, finite symmetric G and C, a
+/// non-negative diagonal of G, finite Norton currents, and a slot for every
+/// circuit node, ground's holding 0. Positive definiteness is left to the
+/// factorization, which proves it.
+inline check::ValidationReport validate_rc_system(const RcSystem& rc,
+                                                  double symmetry_tolerance = 1e-9) {
+  check::ValidationReport report;
+  const std::size_t n = rc.free_nodes();
+  const auto same = [](auto a, auto b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  };
+  if (rc.g.cols() != n || rc.c.rows() != n || rc.c.cols() != n ||
+      !same(rc.g.row_ptr(), rc.c.row_ptr()) || !same(rc.g.col_idx(), rc.c.col_idx()))
+    report.errors.emplace_back("G and C do not share one " + std::to_string(n) + "x" +
+                               std::to_string(n) + " pattern");
+  if (rc.b_final.size() != n || !rc.envelope || rc.envelope->size() != n)
+    report.errors.emplace_back("b_final or the envelope does not match the " +
+                               std::to_string(n) + " free nodes");
+  if (rc.fixed_voltages.empty() || rc.fixed_voltages.front() != 0.0 ||
+      rc.slot_of_node.empty() || rc.slot_of_node.front() != n ||
+      std::any_of(rc.slot_of_node.begin(), rc.slot_of_node.end(), [&](std::size_t s) {
+        return s >= n + rc.fixed_voltages.size();
+      }))
+    report.errors.emplace_back("node slots do not map into the state vector");
+  if (!report.ok()) return report;  // entry scans below assume the shapes
+
+  const auto row_ptr = rc.g.row_ptr();
+  const auto col_idx = rc.g.col_idx();
+  const auto check_entries = [&](const linalg::CsrMatrix& m, const char* name,
+                                 bool nonnegative_diagonal) {
+    const auto values = m.values();
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+        const std::size_t c = col_idx[k];
+        const double scale = std::max(1.0, std::abs(values[k]));
+        if (!std::isfinite(values[k]) ||
+            std::abs(values[k] - m.at(c, r)) > symmetry_tolerance * scale) {
+          report.errors.push_back(std::string(name) +
+                                  " is not finite and symmetric at (" +
+                                  std::to_string(r) + "," + std::to_string(c) + ")");
+          return;  // one witness per matrix keeps the report readable
+        }
+        if (nonnegative_diagonal && c == r && values[k] < 0.0) {
+          report.errors.push_back(std::string(name) + " diagonal (" + std::to_string(r) +
+                                  ") = " + std::to_string(values[k]));
+          return;
+        }
+      }
+    }
+  };
+  check_entries(rc.g, "G", /*nonnegative_diagonal=*/true);
+  check_entries(rc.c, "C", /*nonnegative_diagonal=*/false);
+  for (std::size_t i = 0; i < n && report.ok(); ++i)
+    if (!std::isfinite(rc.b_final[i]))
+      report.errors.push_back("b_final(" + std::to_string(i) + ") is not finite");
   return report;
 }
 

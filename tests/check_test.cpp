@@ -219,6 +219,29 @@ TEST_F(CheckTest, NegativeNodeDiagonalIsRejected) {
   EXPECT_TRUE(mentions(ntr::sim::validate_mna(mna), "diagonal"));
 }
 
+TEST_F(CheckTest, ReducedRcSystemValidatesAndRejectsAsymmetry) {
+  ntr::spice::Circuit circuit;
+  const auto n1 = circuit.add_node("n1");
+  const auto n2 = circuit.add_node("n2");
+  const auto n3 = circuit.add_node("n3");
+  circuit.add_voltage_source("Vin", n1, ntr::spice::kGround, 1.0,
+                             ntr::spice::SourceWaveform::kStep);
+  circuit.add_resistor("R1", n1, n2, 100.0);
+  circuit.add_resistor("R2", n2, n3, 100.0);
+  circuit.add_capacitor("C2", n2, ntr::spice::kGround, 1e-12);
+  circuit.add_capacitor("C3", n3, ntr::spice::kGround, 1e-12);
+  auto rc = *ntr::sim::reduce_rc_deck(circuit);
+  EXPECT_TRUE(ntr::sim::validate_rc_system(rc).ok());
+
+  ASSERT_EQ(rc.g.col_idx()[1], 1u);  // row 0 stores (0,0), then (0,1)
+  std::vector<double> g(rc.g.values().begin(), rc.g.values().end());
+  g[1] += 0.5;  // corrupt one triangle only
+  rc.g = rc.g.with_values(g);
+  EXPECT_TRUE(mentions(ntr::sim::validate_rc_system(rc), "symmetric"));
+  rc.b_final.pop_back();
+  EXPECT_TRUE(mentions(ntr::sim::validate_rc_system(rc), "b_final"));
+}
+
 // --------------------------------------------------------- timing validator
 
 TEST_F(CheckTest, TimingGraphValidates) {

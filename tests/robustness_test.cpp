@@ -618,7 +618,8 @@ TEST_F(FaultInjectionTest, LadderAbsorbsAnInjectedFault) {
 TEST_F(FaultInjectionTest, BatchAccountsForEveryNetUnderChaos) {
   // Four-net batch with a singular-matrix fault injected into the second
   // net's transient measurement: that net degrades, the rest stay ok, and
-  // the batch reports all four.
+  // the batch reports all four. Its RC decks factor on the envelope
+  // Cholesky, so the fault goes there.
   const ntr::delay::TransientEvaluator measure(kTech);
   ntr::core::SolverConfig config;
   config.tech = kTech;
@@ -631,7 +632,7 @@ TEST_F(FaultInjectionTest, BatchAccountsForEveryNetUnderChaos) {
   bool armed = false;
   for (std::size_t i = 0; i < nets.size(); ++i) {
     if (i == 1 && !armed) {
-      ntr::check::fault::arm(FaultSite::kLuSingular, 1);
+      ntr::check::fault::arm(FaultSite::kCholeskyNotSpd, 1);
       armed = true;
     }
     ntr::core::GuardedSolution guarded = ntr::core::solve_resilient(
@@ -647,6 +648,27 @@ TEST_F(FaultInjectionTest, BatchAccountsForEveryNetUnderChaos) {
   EXPECT_EQ(outcomes[1].status.code(), StatusCode::kSingular);
   EXPECT_EQ(outcomes[2].disposition, NetDisposition::kOk);
   EXPECT_EQ(outcomes[3].disposition, NetDisposition::kOk);
+}
+
+TEST_F(FaultInjectionTest, TransientLuSingularNeedsAnRlcDeck) {
+  // RC decks never reach the dense LU; an RLC deck keeps the dense MNA
+  // path, so the lu-singular site still fails its transient measurement.
+  const ntr::graph::RoutingGraph g = ntr::graph::mst_routing(square_net());
+  ntr::check::fault::arm(FaultSite::kLuSingular, 1);
+  const ntr::delay::TransientEvaluator rc(kTech);
+  (void)rc.sink_delays(g);
+  EXPECT_EQ(ntr::check::fault::hit_count(FaultSite::kLuSingular), 0u);
+
+  ntr::spice::NetlistOptions with_inductance;
+  with_inductance.include_inductance = true;
+  const ntr::delay::TransientEvaluator rlc(kTech, with_inductance);
+  try {
+    (void)rlc.sink_delays(g);
+    FAIL() << "the armed lu-singular site did not fire";
+  } catch (const NtrError& e) {
+    EXPECT_EQ(e.code(), StatusCode::kSingular);
+  }
+  EXPECT_EQ(ntr::check::fault::fired_count(FaultSite::kLuSingular), 1u);
 }
 
 TEST_F(FaultInjectionTest, FlowCompletesUnderChaos) {

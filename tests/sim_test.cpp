@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "expt/net_generator.h"
+#include "graph/routing_graph.h"
+#include "runtime/status.h"
 #include "sim/mna.h"
 #include "sim/transient.h"
+#include "spice/graph_netlist.h"
 #include "spice/netlist.h"
+#include "spice/technology.h"
 
 namespace ntr::sim {
 namespace {
@@ -46,6 +52,38 @@ TEST(Mna, FirstMomentOfRcEqualsTau) {
   const linalg::Vector m1 = first_moment(mna, x_inf);
   const std::size_t out_idx = mna.unknown_of_node(2);  // "out" is node 2
   EXPECT_NEAR(m1[out_idx] / x_inf[out_idx], r * c, r * c * 1e-9);
+}
+
+TEST(Mna, ReducesRcDecksOnly) {
+  const auto rc = reduce_rc_deck(rc_lowpass(1000.0, 1e-12));
+  ASSERT_TRUE(rc.has_value());
+  ASSERT_EQ(rc->free_nodes(), 1u);
+  // The step behind 1 kOhm becomes a 1 mA Norton current into "out".
+  EXPECT_DOUBLE_EQ(rc->b_final[0], 1e-3);
+  EXPECT_EQ(rc->slot_of_node[2], 0u);               // "out" is the unknown
+  EXPECT_EQ(rc->slot_of_node[spice::kGround], 1u);  // then ground
+  EXPECT_EQ(rc->slot_of_node[1], 2u);               // then the driven "in"
+  EXPECT_EQ(rc->fixed_voltages, (linalg::Vector{0.0, 1.0}));
+
+  const auto deck = [](auto&& extra) {
+    spice::Circuit ckt = rc_lowpass(1000.0, 1e-12);
+    extra(ckt);
+    return ckt;
+  };
+  // An inductor, a floating source, a capacitor on a driven node and two
+  // sources on one node all leave the deck to the dense MNA path.
+  EXPECT_FALSE(reduce_rc_deck(deck([](spice::Circuit& c) {
+    c.add_inductor("L1", 2, spice::kGround, 1e-9);
+  })));
+  EXPECT_FALSE(reduce_rc_deck(deck([](spice::Circuit& c) {
+    c.add_voltage_source("V2", 1, 2, 1.0, spice::SourceWaveform::kDc);
+  })));
+  EXPECT_FALSE(reduce_rc_deck(deck([](spice::Circuit& c) {
+    c.add_capacitor("Cin", 1, spice::kGround, 1e-15);
+  })));
+  EXPECT_FALSE(reduce_rc_deck(deck([](spice::Circuit& c) {
+    c.add_voltage_source("V2", spice::kGround, 1, 1.0, spice::SourceWaveform::kDc);
+  })));
 }
 
 TEST(Mna, EmptyCircuitRejected) {
@@ -165,6 +203,76 @@ TEST(Transient, NodeWithZeroFinalValueReportsNoCrossing) {
   EXPECT_TRUE(std::isfinite(report.crossing_s[0]));
   EXPECT_TRUE(std::isinf(report.crossing_s[1]));
   EXPECT_TRUE(std::isinf(report.max_crossing_s));
+}
+
+TEST(Transient, RcBackendMatchesDenseMnaOnANet) {
+  // A capacitor on the ideal source's node changes no other voltage, but
+  // it sends the deck down the dense MNA path: the two backends must agree.
+  const spice::Technology tech = spice::kTable1Technology;
+  graph::RoutingGraph g = graph::mst_routing(expt::NetGenerator(5).random_net(12));
+  g.add_edge(0, g.node_count() - 1);  // one cycle
+  spice::GraphNetlist netlist = spice::build_netlist(g, tech);
+  // A coupling capacitor between two sinks puts C off the diagonal.
+  netlist.circuit.add_capacitor("Ccouple", netlist.graph_to_circuit[1],
+                                netlist.graph_to_circuit[2], 5e-15);
+  spice::Circuit dense_deck = netlist.circuit;
+  dense_deck.add_capacitor("Cin", netlist.driver_input, spice::kGround, 1e-15);
+  ASSERT_TRUE(reduce_rc_deck(netlist.circuit).has_value());
+  ASSERT_FALSE(reduce_rc_deck(dense_deck).has_value());
+
+  std::vector<spice::CircuitNode> watch{netlist.driver_input};
+  for (const graph::NodeId n : netlist.sink_graph_nodes)
+    watch.push_back(netlist.graph_to_circuit[n]);
+  TransientSimulator rc(netlist.circuit);
+  TransientSimulator dense(dense_deck);
+  EXPECT_NEAR(rc.characteristic_time(), dense.characteristic_time(),
+              dense.characteristic_time() * 1e-12);
+  const auto a = rc.measure_crossings(watch);
+  const auto b = dense.measure_crossings(watch);
+  ASSERT_TRUE(a.all_crossed);
+  ASSERT_TRUE(b.all_crossed);
+  for (std::size_t k = 0; k < watch.size(); ++k) {
+    EXPECT_NEAR(a.crossing_s[k], b.crossing_s[k], b.crossing_s[k] * 1e-9) << k;
+    EXPECT_NEAR(a.final_v[k], b.final_v[k], 1e-12) << k;
+  }
+  // The driven node holds its source level from the first step on.
+  EXPECT_EQ(rc.final_voltage(netlist.driver_input), tech.vdd_v);
+  const auto wf = rc.run(10 * rc.time_step(), watch);
+  EXPECT_EQ(wf.voltage_v[0][0], 0.0);
+  EXPECT_EQ(wf.voltage_v[0][1], tech.vdd_v);
+}
+
+TEST(Transient, RcDeckWithAFloatingNodeIsSingular) {
+  spice::Circuit ckt = rc_lowpass(1000.0, 1e-12);
+  const spice::CircuitNode island = ckt.add_node("island");
+  ckt.add_capacitor("Cisland", island, spice::kGround, 1e-12);
+  ASSERT_TRUE(reduce_rc_deck(ckt).has_value());
+  try {
+    TransientSimulator sim(ckt);
+    FAIL() << "a node with no DC path must not simulate";
+  } catch (const runtime::NtrError& e) {
+    EXPECT_EQ(e.code(), runtime::StatusCode::kSingular);
+    EXPECT_NE(std::string(e.what()).find("dc_operating_point: G is singular"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Transient, NegativeSourceDrivesItsNodeBelowGround) {
+  spice::Circuit ckt;
+  const auto in = ckt.add_node("in");
+  const auto out = ckt.add_node("out");
+  ckt.add_voltage_source("V1", spice::kGround, in, 1.0, spice::SourceWaveform::kStep);
+  ckt.add_resistor("R1", in, out, 1000.0);
+  ckt.add_capacitor("C1", out, spice::kGround, 1e-12);
+  ASSERT_TRUE(reduce_rc_deck(ckt).has_value());
+  TransientSimulator sim(ckt);
+  EXPECT_DOUBLE_EQ(sim.final_voltage(in), -1.0);
+  EXPECT_NEAR(sim.final_voltage(out), -1.0, 1e-12);
+  const std::vector<spice::CircuitNode> watch{out};
+  const auto wf = sim.run(1e-9, watch);
+  const double expected = -(1.0 - std::exp(-wf.time_s.back() / 1e-9));
+  EXPECT_NEAR(wf.voltage_v[0].back(), expected, 6e-3);
 }
 
 TEST(Transient, ThresholdValidation) {

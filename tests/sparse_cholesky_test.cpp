@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <numeric>
 #include <random>
 
 #include "delay/moments.h"
@@ -130,6 +132,88 @@ TEST(EnvelopeCholesky, ReorderingShrinksTheEnvelope) {
   const EnvelopeCholesky reordered(a, /*reorder=*/true);
   const EnvelopeCholesky natural(a, /*reorder=*/false);
   EXPECT_LT(reordered.stored_entries() * 4, natural.stored_entries());
+}
+
+TEST(EnvelopeCholesky, MatchesDenseCholeskyOnA1024NodeGrid) {
+  // A 32 x 32 resistive mesh, every node leaking to ground: RCM turns it
+  // into a band of width ~32, where the envelope solve must still agree
+  // with the dense factorization to working precision.
+  const std::size_t side = 32;
+  const std::size_t n = side * side;
+  TripletBuilder tb(n, n);
+  const auto add_edge = [&](std::size_t a, std::size_t b, double g) {
+    tb.add(a, a, g);
+    tb.add(b, b, g);
+    tb.add(a, b, -g);
+    tb.add(b, a, -g);
+  };
+  for (std::size_t r = 0; r < side; ++r) {
+    for (std::size_t c = 0; c < side; ++c) {
+      const std::size_t v = r * side + c;
+      if (c + 1 < side) add_edge(v, v + 1, 1.0 + 0.01 * static_cast<double>(v % 7));
+      if (r + 1 < side) add_edge(v, v + side, 1.0 + 0.01 * static_cast<double>(v % 5));
+      tb.add(v, v, 0.05);
+    }
+  }
+  const CsrMatrix a(tb);
+  const Vector b = random_vector(n, 13);
+  const Vector xs = EnvelopeCholesky(a).solve(b);
+  const Vector xd = CholeskyFactorization(a.to_dense()).solve(b);
+  const double scale = norm_inf(xd);
+  for (std::size_t i = 0; i < n; ++i) ASSERT_NEAR(xs[i], xd[i], 1e-12 * scale) << i;
+}
+
+TEST(EnvelopeCholesky, SharedEnvelopeFactorsEveryMatrixOnThePattern) {
+  // G and G + sI share G's envelope; the fused solve forms x + M v inside
+  // the forward sweep and must equal solving for that right-hand side.
+  const std::size_t n = 40;
+  const CsrMatrix g = random_laplacian(n, 5);
+  const auto envelope = std::make_shared<const Envelope>(g);
+  std::vector<double> shifted(g.values().begin(), g.values().end());
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t k = g.row_ptr()[r]; k < g.row_ptr()[r + 1]; ++k)
+      if (g.col_idx()[k] == r) shifted[k] += 3.0;
+  const CsrMatrix a = g.with_values(shifted);
+  const EnvelopeCholesky shared(envelope, a);
+  const EnvelopeCholesky own(a, /*reorder=*/false);
+  EXPECT_EQ(shared.stored_entries(), envelope->stored_entries());
+
+  const Vector b = random_vector(n, 8);
+  const Vector v = random_vector(n, 9);
+  Vector rhs = g.multiply(v);
+  for (std::size_t i = 0; i < n; ++i) rhs[i] += b[i];
+  const Vector expected = own.solve(rhs);
+  Vector x = b;
+  shared.solve_in_place(x, g, v);
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_NEAR(x[i], expected[i], std::abs(expected[i]) * 1e-12 + 1e-14) << i;
+
+  // A matrix reaching outside the envelope is refused, not mis-factored.
+  TripletBuilder wide(n, n);
+  for (std::size_t i = 0; i < n; ++i) wide.add(i, i, 4.0);
+  wide.add(0, n - 1, 1.0);
+  wide.add(n - 1, 0, 1.0);
+  const CsrMatrix far(wide);
+  const auto diagonal = std::make_shared<const Envelope>(CsrMatrix([&] {
+    TripletBuilder d(n, n);
+    for (std::size_t i = 0; i < n; ++i) d.add(i, i, 1.0);
+    return d;
+  }()));
+  EXPECT_THROW(EnvelopeCholesky(diagonal, far), std::invalid_argument);
+}
+
+TEST(Sparse, AdoptedPatternIsValidated) {
+  const CsrMatrix m(3, {0, 2, 3, 4}, {0, 2, 1, 2}, {1.0, 0.0, 2.0, 3.0});
+  EXPECT_EQ(m.nnz(), 4u);
+  EXPECT_EQ(m.at(0, 2), 0.0);  // an explicit zero stays in the pattern
+  EXPECT_EQ(m.multiply(Vector{1.0, 1.0, 1.0}), (Vector{1.0, 2.0, 3.0}));
+  EXPECT_THROW(CsrMatrix(3, {0, 2, 1, 4}, {0, 2, 1, 2}, {1, 1, 1, 1}),
+               std::invalid_argument);  // row_ptr decreases
+  EXPECT_THROW(CsrMatrix(3, {0, 2, 3, 4}, {2, 0, 1, 2}, {1, 1, 1, 1}),
+               std::invalid_argument);  // columns out of order
+  EXPECT_THROW(CsrMatrix(3, {0, 2, 3, 4}, {0, 3, 1, 2}, {1, 1, 1, 1}),
+               std::invalid_argument);  // column out of range
+  EXPECT_THROW((void)m.with_values({1.0}), std::invalid_argument);
 }
 
 TEST(EnvelopeCholesky, RejectsIndefinite) {
