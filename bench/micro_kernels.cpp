@@ -1,12 +1,16 @@
 // A6: google-benchmark microbenchmarks of the computational kernels every
 // router leans on: MST construction, tree Elmore, graph-moment solve,
-// transient delay measurement, Iterated 1-Steiner, and one LDRG candidate
-// scan. Complexity claims from the paper (H2/H3 are linear given the MST;
-// LDRG is quadratically many simulations) are visible in the scaling.
+// transient delay measurement, Iterated 1-Steiner, the incremental Elmore
+// engine and its candidate scorer, ERT construction, and one LDRG
+// candidate scan. Complexity claims from the paper (H2/H3 are linear
+// given the MST; LDRG is quadratically many simulations) are visible in
+// the scaling.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/heuristics.h"
@@ -18,6 +22,7 @@
 #include "expt/net_generator.h"
 #include "graph/mst.h"
 #include "graph/routing_graph.h"
+#include "route/ert.h"
 #include "steiner/iterated_one_steiner.h"
 
 namespace {
@@ -104,9 +109,9 @@ void BM_H3NoSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_H3NoSimulation)->Arg(5)->Arg(10)->Arg(20)->Arg(30);
 
-// One incremental candidate evaluation: the O(n) Sherman-Morrison delta
-// the parallel LDRG lanes score with, vs the O(n^3) full solve above
-// (BM_GraphMoments) it replaces per candidate.
+// One incremental candidate evaluation at every node: the O(n)
+// Sherman-Morrison delta, vs the full solve above (BM_GraphMoments) it
+// replaces per candidate.
 void BM_IncrementalCandidate(benchmark::State& state) {
   const graph::RoutingGraph g =
       graph::mst_routing(make_net(static_cast<std::size_t>(state.range(0))));
@@ -116,6 +121,49 @@ void BM_IncrementalCandidate(benchmark::State& state) {
     benchmark::DoNotOptimize(engine.candidate_delays(u, v));
 }
 BENCHMARK(BM_IncrementalCandidate)->Arg(5)->Arg(10)->Arg(20)->Arg(30)->Arg(100);
+
+// The once-per-round set-up of that engine: one envelope factorization of
+// the grounded conductance matrix and n solves for the transfer
+// resistances.
+void BM_IncrementalBuild(benchmark::State& state) {
+  const graph::RoutingGraph g =
+      graph::mst_routing(make_net(static_cast<std::size_t>(state.range(0))));
+  for (auto _ : state) benchmark::DoNotOptimize(delay::IncrementalElmore(g, kTech));
+}
+BENCHMARK(BM_IncrementalBuild)->Arg(30)->Arg(100)->Arg(200)->Arg(400);
+
+// What one LDRG ranking scan pays per candidate: the graph-Elmore
+// scorer's per-sink delays, cycling through every absent pair.
+void BM_CandidateScorer(benchmark::State& state) {
+  const graph::RoutingGraph g =
+      graph::mst_routing(make_net(static_cast<std::size_t>(state.range(0))));
+  const delay::GraphElmoreEvaluator eval(kTech);
+  const std::unique_ptr<delay::CandidateScorer> scorer = eval.make_candidate_scorer(g);
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
+  for (graph::NodeId u = 0; u < g.node_count(); ++u)
+    for (graph::NodeId v = u + 1; v < g.node_count(); ++v)
+      if (!g.has_edge(u, v)) pairs.emplace_back(u, v);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto& [u, v] = pairs[next];
+    benchmark::DoNotOptimize(scorer->candidate_sink_delays(u, v));
+    next = next + 1 == pairs.size() ? 0 : next + 1;
+  }
+}
+BENCHMARK(BM_CandidateScorer)->Arg(30)->Arg(100)->Arg(200);
+
+// The whole ERT construction (the seed of ERT-LDRG), which scores every
+// node attachment of every unattached pin in each of its rounds.
+void BM_ElmoreRoutingTree(benchmark::State& state) {
+  const graph::Net net = make_net(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(route::elmore_routing_tree(net, kTech));
+}
+BENCHMARK(BM_ElmoreRoutingTree)
+    ->Arg(20)
+    ->Arg(50)
+    ->Arg(100)
+    ->Unit(benchmark::kMillisecond);
 
 // Full single-edge LDRG scan on N lanes (graph-Elmore evaluator so the
 // incremental scorer carries the scan); determinism means the N-lane

@@ -29,9 +29,19 @@ constexpr std::size_t kNoCandidate = std::numeric_limits<std::size_t>::max();
 double sink_objective(const std::vector<double>& sink_delays,
                       const std::vector<double>& criticality) {
   if (criticality.empty()) {
-    double worst = 0.0;
-    for (const double d : sink_delays) worst = std::max(worst, d);
-    return worst;
+    // Four running maxima: max is exact and order-free, so this is the
+    // serial maximum without its one long dependency chain.
+    double w0 = 0.0, w1 = 0.0, w2 = 0.0, w3 = 0.0;
+    const std::size_t n = sink_delays.size();
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      w0 = std::max(w0, sink_delays[i]);
+      w1 = std::max(w1, sink_delays[i + 1]);
+      w2 = std::max(w2, sink_delays[i + 2]);
+      w3 = std::max(w3, sink_delays[i + 3]);
+    }
+    for (; i < n; ++i) w0 = std::max(w0, sink_delays[i]);
+    return std::max(std::max(w0, w1), std::max(w2, w3));
   }
   if (criticality.size() != sink_delays.size())
     throw std::invalid_argument("ldrg: criticality size must match sink count");
@@ -126,7 +136,7 @@ std::optional<Pick> ldrg_round(const graph::RoutingGraph& g, double cost,
   };
 
   // 2. Rank with a delta engine (Sherman-Morrison Elmore scores a
-  // candidate in O(n) off a factorization of `g`, rebuilt every round
+  // candidate in O(sinks) off a factorization of `g`, rebuilt every round
   // because the accepted edge invalidates it) and keep the best `keep` by
   // (score, index). Scores land at their enumeration index, so the
   // ranking is bit-identical for every lane count.

@@ -29,19 +29,16 @@ class IncrementalElmoreScorer final : public CandidateScorer {
  public:
   IncrementalElmoreScorer(const graph::RoutingGraph& g,
                           const spice::Technology& tech, double scale)
-      : sinks_(g.sinks()), engine_(g, tech), scale_(scale) {}
+      : engine_(g, tech), scale_(scale) {}
 
   [[nodiscard]] std::vector<double> candidate_sink_delays(
       graph::NodeId u, graph::NodeId v) const override {
-    const std::vector<double> per_node = engine_.candidate_delays(u, v);
-    std::vector<double> out;
-    out.reserve(sinks_.size());
-    for (const graph::NodeId s : sinks_) out.push_back(scale_ * per_node[s]);
+    std::vector<double> out(engine_.sink_count());
+    engine_.candidate_sink_delays(u, v, scale_, out);
     return out;
   }
 
  private:
-  std::vector<graph::NodeId> sinks_;
   IncrementalElmore engine_;
   double scale_;
 };

@@ -25,7 +25,9 @@ class CandidateScorer {
 
   /// Delays (seconds) per sink, ordered like g.sinks(), of the attached
   /// graph with edge (u,v) added. Must agree with sink_delays() on the
-  /// materialized trial graph to ~1e-12.
+  /// materialized trial graph to 1e-12 of the largest delay. Steiner trees
+  /// with micron-length edges are ill-conditioned and may reach a few
+  /// times that; the tests hold them to 1e-11.
   [[nodiscard]] virtual std::vector<double> candidate_sink_delays(
       graph::NodeId u, graph::NodeId v) const = 0;
 };
@@ -106,7 +108,8 @@ class GraphElmoreEvaluator final : public DelayEvaluator {
       const graph::RoutingGraph& g) const override;
   [[nodiscard]] std::string name() const override { return "elmore-graph"; }
   /// Sherman-Morrison delta engine (delay/incremental_elmore.h): one
-  /// O(n^3) setup, then O(n) per candidate instead of a fresh SPD solve.
+  /// envelope factorization and n solves, then O(sinks) per candidate
+  /// instead of a fresh SPD solve.
   [[nodiscard]] std::unique_ptr<CandidateScorer> make_candidate_scorer(
       const graph::RoutingGraph& g) const override;
 

@@ -46,12 +46,11 @@ GroundedSystem assemble_grounded_system(const graph::RoutingGraph& g,
   return sys;
 }
 
-linalg::CsrMatrix grounded_conductance_csr(const graph::RoutingGraph& g,
-                                           const spice::Technology& tech) {
+void stamp_grounded_conductance(const graph::RoutingGraph& g,
+                                const spice::Technology& tech,
+                                linalg::TripletBuilder& builder) {
   if (!g.is_connected())
     throw std::invalid_argument("moment analysis: routing graph must be connected");
-  const std::size_t n = g.node_count();
-  linalg::TripletBuilder builder(n, n);
   for (const graph::GraphEdge& e : g.edges()) {
     const double conductance = wire_conductance(e.length, e.width, tech);
     builder.add(e.u, e.u, conductance);
@@ -60,14 +59,17 @@ linalg::CsrMatrix grounded_conductance_csr(const graph::RoutingGraph& g,
     builder.add(e.v, e.u, -conductance);
   }
   builder.add(g.source(), g.source(), 1.0 / tech.driver_resistance_ohm);
+}
+
+linalg::CsrMatrix grounded_conductance_csr(const graph::RoutingGraph& g,
+                                           const spice::Technology& tech) {
+  linalg::TripletBuilder builder(g.node_count(), g.node_count());
+  stamp_grounded_conductance(g, tech, builder);
   return linalg::CsrMatrix(builder);
 }
 
-namespace {
-
-/// Diagonal capacitance vector (shared by both solver paths).
-std::vector<double> capacitance_vector(const graph::RoutingGraph& g,
-                                       const spice::Technology& tech) {
+std::vector<double> grounded_capacitance(const graph::RoutingGraph& g,
+                                         const spice::Technology& tech) {
   std::vector<double> cap(g.node_count(), 0.0);
   for (const graph::GraphEdge& e : g.edges()) {
     const double c_half = tech.wire_capacitance(e.length, e.width) / 2.0;
@@ -80,10 +82,12 @@ std::vector<double> capacitance_vector(const graph::RoutingGraph& g,
   return cap;
 }
 
+namespace {
+
 MomentAnalysis moments_sparse(const graph::RoutingGraph& g,
                               const spice::Technology& tech, bool want_m2) {
   const linalg::EnvelopeCholesky chol(grounded_conductance_csr(g, tech));
-  const std::vector<double> cap = capacitance_vector(g, tech);
+  const std::vector<double> cap = grounded_capacitance(g, tech);
   MomentAnalysis result;
   result.m1 = chol.solve(cap);
   if (want_m2) {

@@ -49,11 +49,23 @@ GroundedSystem assemble_grounded_system(const graph::RoutingGraph& g,
 linalg::CsrMatrix grounded_conductance_csr(const graph::RoutingGraph& g,
                                            const spice::Technology& tech);
 
+/// Stamps the entries of grounded_conductance_csr into `builder` (n x n),
+/// so a caller can stamp more wires before freezing the pattern.
+void stamp_grounded_conductance(const graph::RoutingGraph& g,
+                                const spice::Technology& tech,
+                                linalg::TripletBuilder& builder);
+
+/// The diagonal capacitance vector C of the grounded system.
+std::vector<double> grounded_capacitance(const graph::RoutingGraph& g,
+                                         const spice::Technology& tech);
+
 /// Node count above which moment_analysis / graph_elmore_delays switch
 /// from the dense Cholesky to the RCM + envelope-Cholesky sparse path.
 /// Routing-graph conductance matrices are near-planar and low-degree, so
-/// the sparse path wins quickly (see bench/ablation_sparse_scaling).
-inline constexpr std::size_t kDenseMomentNodeLimit = 320;
+/// the sparse path wins quickly: bench/ablation_sparse_scaling times a
+/// full solve both ways, and the envelope path is 0.9x the dense one at
+/// 30 pins, 1.3x at 40 and 7x at 100.
+inline constexpr std::size_t kDenseMomentNodeLimit = 40;
 
 /// Per-node Elmore delay of an arbitrary routing graph (m1 only).
 std::vector<double> graph_elmore_delays(const graph::RoutingGraph& g,

@@ -161,6 +161,11 @@ void EnvelopeCholesky::solve_in_place(std::span<double> x, const CsrMatrix& m,
   substitute(x, &m, v);
 }
 
+void EnvelopeCholesky::solve_in_place(std::span<double> x) const {
+  if (x.size() != size()) throw std::invalid_argument("EnvelopeCholesky::solve: size");
+  substitute(x, nullptr, {});
+}
+
 void EnvelopeCholesky::substitute(std::span<double> x, const CsrMatrix* m,
                                   std::span<const double> v) const {
   const Envelope& env = *envelope_;

@@ -70,6 +70,14 @@ class EnvelopeCholesky {
   void solve_in_place(std::span<double> x, const CsrMatrix& m,
                       std::span<const double> v) const;
 
+  /// x <- A^{-1} x, in place and without allocating, in elimination
+  /// order like the overload above.
+  void solve_in_place(std::span<double> x) const;
+
+  /// The elimination order, order()[new] = old; empty for a factor kept
+  /// in its natural order.
+  [[nodiscard]] std::span<const std::size_t> order() const { return perm_; }
+
   /// Envelope size (stored entries) -- for tests and the scaling bench.
   [[nodiscard]] std::size_t stored_entries() const { return values_.size(); }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "check/contracts.h"
@@ -33,37 +34,45 @@ struct Candidate {
   std::size_t pin = 0;  // net pin index being attached
 };
 
-/// Objective of a candidate tree under the (possibly weighted) Elmore
-/// criterion. `node_pin` maps tree nodes to net pins for criticality
-/// lookup.
-double tree_objective(const graph::RoutingGraph& t,
-                      const std::vector<std::size_t>& node_pin,
-                      const spice::Technology& tech,
-                      const std::vector<double>& criticality) {
-  const std::vector<double> delays = delay::elmore_node_delays(t, tech);
-  double objective = 0.0;
-  double total_delay = 0.0;
-  for (graph::NodeId n = 0; n < t.node_count(); ++n) {
-    if (t.node(n).kind != graph::NodeKind::kSink) continue;
-    total_delay += delays[n];
-    if (criticality.empty()) {
-      objective = std::max(objective, delays[n]);
-    } else {
-      const std::size_t pin = node_pin[n];
-      objective += criticality.at(pin - 1) * delays[n];
-    }
-  }
-  if (!criticality.empty()) {
+/// The ERT objective of a candidate tree under the (possibly weighted)
+/// Elmore criterion, from its per-node delays: `sinks` lists the tree's
+/// sink nodes in increasing id order and `node_pin` maps tree nodes to
+/// net pins for the criticality lookup.
+class TreeObjective {
+ public:
+  explicit TreeObjective(const std::vector<double>& criticality)
+      : criticality_(criticality) {
     // Tie-break term: while the weighted sum ignores zero-criticality
     // sinks (and is identically zero until a weighted sink attaches), a
     // vanishingly small uniform weight keeps the construction from wiring
     // the non-critical sinks arbitrarily badly.
-    const double scale =
-        std::max(*std::max_element(criticality.begin(), criticality.end()), 1.0);
-    objective += 1e-6 * scale * total_delay;
+    if (!criticality.empty())
+      tie_break_ = 1e-6 * std::max(*std::max_element(criticality.begin(),
+                                                     criticality.end()),
+                                   1.0);
   }
-  return objective;
-}
+
+  double operator()(std::span<const double> delays,
+                    std::span<const graph::NodeId> sinks,
+                    std::span<const std::size_t> node_pin) const {
+    double objective = 0.0;
+    double total_delay = 0.0;
+    for (const graph::NodeId n : sinks) {
+      total_delay += delays[n];
+      if (criticality_.empty()) {
+        objective = std::max(objective, delays[n]);
+      } else {
+        objective += criticality_.at(node_pin[n] - 1) * delays[n];
+      }
+    }
+    if (!criticality_.empty()) objective += tie_break_ * total_delay;
+    return objective;
+  }
+
+ private:
+  const std::vector<double>& criticality_;
+  double tie_break_ = 0.0;
+};
 
 /// Applies a candidate to (t, node_pin); returns nothing -- t is grown in
 /// place.
@@ -95,25 +104,38 @@ ErtResult elmore_routing_tree(const graph::Net& net, const spice::Technology& te
   std::vector<std::size_t> unattached;
   for (std::size_t p = 1; p < net.pins.size(); ++p) unattached.push_back(p);
 
+  const TreeObjective tree_objective(options.criticality);
+  std::vector<double> delays;
+  std::vector<graph::NodeId> leaf_sinks;
+  std::vector<std::size_t> leaf_pin;
   while (!unattached.empty()) {
     double best_objective = std::numeric_limits<double>::infinity();
     Candidate best;
     bool found = false;
+    const auto consider = [&](const Candidate& c, double objective) {
+      if (objective < best_objective) {
+        best_objective = objective;
+        best = c;
+        found = true;
+      }
+    };
+
+    // A node attachment hangs the pin as a new leaf, the trial's last node.
+    const std::size_t n = result.graph.node_count();
+    const delay::TreeLeafElmore leaf_elmore(result.graph, tech);
+    delays.resize(n + 1);
+    leaf_sinks = result.graph.sinks();
+    leaf_sinks.push_back(n);
+    leaf_pin = result.node_pin;
+    leaf_pin.push_back(kNoPin);
 
     for (const std::size_t pin : unattached) {
       // Attach directly to an existing node.
-      for (graph::NodeId u = 0; u < result.graph.node_count(); ++u) {
-        Candidate c{Candidate::Kind::kNodeAttach, u, graph::kInvalidEdge, {}, pin};
-        graph::RoutingGraph trial = result.graph;
-        std::vector<std::size_t> trial_pin = result.node_pin;
-        apply_candidate(trial, trial_pin, net, c);
-        const double objective = tree_objective(trial, trial_pin, tech,
-                                                options.criticality);
-        if (objective < best_objective) {
-          best_objective = objective;
-          best = c;
-          found = true;
-        }
+      leaf_pin.back() = pin;
+      for (graph::NodeId u = 0; u < n; ++u) {
+        leaf_elmore.delays_with_leaf(u, net.pins[pin], graph::NodeKind::kSink, delays);
+        consider(Candidate{Candidate::Kind::kNodeAttach, u, graph::kInvalidEdge, {}, pin},
+                 tree_objective(delays, leaf_sinks, leaf_pin));
       }
       // SERT: attach via a Steiner point on an existing edge.
       if (options.steiner) {
@@ -129,13 +151,8 @@ ErtResult elmore_routing_tree(const graph::Net& net, const spice::Technology& te
           graph::RoutingGraph trial = result.graph;
           std::vector<std::size_t> trial_pin = result.node_pin;
           apply_candidate(trial, trial_pin, net, c);
-          const double objective = tree_objective(trial, trial_pin, tech,
-                                                  options.criticality);
-          if (objective < best_objective) {
-            best_objective = objective;
-            best = c;
-            found = true;
-          }
+          consider(c, tree_objective(delay::elmore_node_delays(trial, tech),
+                                     trial.sinks(), trial_pin));
         }
       }
     }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "delay/elmore.h"
 #include "delay/evaluator.h"
@@ -8,6 +11,7 @@
 #include "expt/net_generator.h"
 #include "expt/statistics.h"
 #include "graph/routing_graph.h"
+#include "route/ert.h"
 #include "spice/technology.h"
 
 namespace ntr::delay {
@@ -198,6 +202,69 @@ TEST(Evaluators, NamesAreDistinct) {
   EXPECT_NE(a.name(), b.name());
   EXPECT_NE(b.name(), c.name());
   EXPECT_NE(c.name(), d.name());
+}
+
+/// Every attachment node of `tree`, with leaves at random points, at the
+/// attachment itself (a zero-length wire) and of both kinds: the copy-free
+/// answer equals elmore_node_delays of the materialized trial, bit for bit.
+void expect_leaf_delays_match_trials(const graph::RoutingGraph& tree,
+                                     std::mt19937_64& rng, const std::string& context) {
+  const TreeLeafElmore leaf_elmore(tree, kTech);
+  std::uniform_real_distribution<double> coord(0.0, kTech.layout_side_um);
+  std::vector<double> got(tree.node_count() + 1);
+  for (graph::NodeId u = 0; u < tree.node_count(); ++u) {
+    for (int k = 0; k < 3; ++k) {
+      const geom::Point pos =
+          k == 0 ? tree.node(u).pos : geom::Point{coord(rng), coord(rng)};
+      const graph::NodeKind kind =
+          k == 2 ? graph::NodeKind::kSteiner : graph::NodeKind::kSink;
+      graph::RoutingGraph trial = tree;
+      trial.add_edge(u, trial.add_node(pos, kind));
+      const std::vector<double> want = elmore_node_delays(trial, kTech);
+      leaf_elmore.delays_with_leaf(u, pos, kind, got);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(got[i], want[i]) << context << " attach " << u << " leaf " << k
+                                   << " node " << i;
+    }
+  }
+}
+
+TEST(TreeLeafElmore, MatchesElmoreNodeDelaysOfTheTrialBitForBit) {
+  std::mt19937_64 rng(1994);
+  for (const std::size_t pins : {1u, 2u, 3u, 5u, 10u, 20u, 40u}) {
+    expt::NetGenerator gen(800 + pins);
+    const graph::Net net = gen.random_net(std::max<std::size_t>(pins, 2));
+    graph::RoutingGraph mst = graph::mst_routing(net);
+    if (pins == 1) {  // the source alone, as ERT's first round sees it
+      mst = graph::RoutingGraph();
+      mst.add_node(net.pins[0], graph::NodeKind::kSource);
+    }
+    expect_leaf_delays_match_trials(mst, rng, "MST " + std::to_string(pins));
+    if (mst.edge_count() > 1) {
+      mst.set_edge_width(0, 2.0);  // a sized wire on the source path
+      expect_leaf_delays_match_trials(mst, rng, "sized MST " + std::to_string(pins));
+    }
+    route::ErtOptions steiner;
+    steiner.steiner = true;
+    expect_leaf_delays_match_trials(route::elmore_routing_tree(net, kTech, steiner).graph,
+                                    rng, "SERT " + std::to_string(pins));
+  }
+}
+
+TEST(TreeLeafElmore, RejectsNonTreesAndBadQueries) {
+  expt::NetGenerator gen(5);
+  graph::RoutingGraph g = graph::mst_routing(gen.random_net(6));
+  const TreeLeafElmore leaf_elmore(g, kTech);
+  std::vector<double> out(g.node_count() + 1);
+  EXPECT_THROW(leaf_elmore.delays_with_leaf(g.node_count(), {0, 0},
+                                            graph::NodeKind::kSink, out),
+               std::invalid_argument);
+  std::vector<double> short_out(g.node_count());
+  EXPECT_THROW(leaf_elmore.delays_with_leaf(0, {0, 0}, graph::NodeKind::kSink, short_out),
+               std::invalid_argument);
+  g.add_edge(0, g.node_count() - 1);
+  if (!g.is_tree()) EXPECT_THROW(TreeLeafElmore(g, kTech), std::invalid_argument);
 }
 
 }  // namespace

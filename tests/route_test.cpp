@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <random>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "delay/elmore.h"
 #include "delay/evaluator.h"
 #include "expt/net_generator.h"
 #include "graph/paths.h"
+#include "io/net_io.h"
 #include "route/constructions.h"
 #include "route/ert.h"
 
@@ -165,6 +173,124 @@ TEST(Ert, SertIntroducesSteinerNodesWhenProfitable) {
     if (res.graph.node(n).kind == graph::NodeKind::kSteiner) ++steiner_count;
   EXPECT_GE(steiner_count, 1u);
   EXPECT_TRUE(res.graph.is_tree());
+}
+
+// ---- Reference ERT: every trial attachment materialized ----
+//
+// The construction as first written: each candidate attachment copies the
+// tree, applies the attachment and times the copy with
+// elmore_node_delays. elmore_routing_tree answers node attachments
+// without the copy (delay::TreeLeafElmore) and must build the same trees.
+
+geom::Point reference_bbox_point(const geom::Point& a, const geom::Point& b,
+                                 const geom::Point& p) {
+  return geom::Point{std::clamp(p.x, std::min(a.x, b.x), std::max(a.x, b.x)),
+                     std::clamp(p.y, std::min(a.y, b.y), std::max(a.y, b.y))};
+}
+
+struct ReferenceCandidate {
+  bool split = false;
+  graph::NodeId node = graph::kInvalidNode;
+  graph::EdgeId edge = graph::kInvalidEdge;
+  geom::Point split_point;
+  std::size_t pin = 0;
+};
+
+double reference_objective(const graph::RoutingGraph& t,
+                           const std::vector<std::size_t>& node_pin,
+                           const std::vector<double>& criticality) {
+  const std::vector<double> delays = delay::elmore_node_delays(t, kTech);
+  double objective = 0.0;
+  double total_delay = 0.0;
+  for (graph::NodeId n = 0; n < t.node_count(); ++n) {
+    if (t.node(n).kind != graph::NodeKind::kSink) continue;
+    total_delay += delays[n];
+    if (criticality.empty()) {
+      objective = std::max(objective, delays[n]);
+    } else {
+      objective += criticality.at(node_pin[n] - 1) * delays[n];
+    }
+  }
+  if (!criticality.empty()) {
+    const double scale =
+        std::max(*std::max_element(criticality.begin(), criticality.end()), 1.0);
+    objective += 1e-6 * scale * total_delay;
+  }
+  return objective;
+}
+
+void reference_apply(graph::RoutingGraph& t, std::vector<std::size_t>& node_pin,
+                     const graph::Net& net, const ReferenceCandidate& c) {
+  graph::NodeId attach = c.node;
+  if (c.split) {
+    attach = t.split_edge(c.edge, c.split_point);
+    node_pin.push_back(kNoPin);
+  }
+  const graph::NodeId sink = t.add_node(net.pins[c.pin], graph::NodeKind::kSink);
+  node_pin.push_back(c.pin);
+  t.add_edge(attach, sink);
+}
+
+ErtResult reference_ert(const graph::Net& net, const ErtOptions& options) {
+  ErtResult result;
+  result.graph.add_node(net.source(), graph::NodeKind::kSource);
+  result.node_pin.push_back(0);
+  std::vector<std::size_t> unattached;
+  for (std::size_t p = 1; p < net.pins.size(); ++p) unattached.push_back(p);
+  while (!unattached.empty()) {
+    double best_objective = std::numeric_limits<double>::infinity();
+    ReferenceCandidate best;
+    const auto consider = [&](const ReferenceCandidate& c) {
+      graph::RoutingGraph trial = result.graph;
+      std::vector<std::size_t> trial_pin = result.node_pin;
+      reference_apply(trial, trial_pin, net, c);
+      const double objective = reference_objective(trial, trial_pin, options.criticality);
+      if (objective < best_objective) {
+        best_objective = objective;
+        best = c;
+      }
+    };
+    for (const std::size_t pin : unattached) {
+      for (graph::NodeId u = 0; u < result.graph.node_count(); ++u)
+        consider(ReferenceCandidate{false, u, graph::kInvalidEdge, {}, pin});
+      if (!options.steiner) continue;
+      for (graph::EdgeId e = 0; e < result.graph.edge_count(); ++e) {
+        const geom::Point& a = result.graph.node(result.graph.edge(e).u).pos;
+        const geom::Point& b = result.graph.node(result.graph.edge(e).v).pos;
+        const geom::Point split = reference_bbox_point(a, b, net.pins[pin]);
+        if (split == a || split == b) continue;
+        consider(ReferenceCandidate{true, graph::kInvalidNode, e, split, pin});
+      }
+    }
+    reference_apply(result.graph, result.node_pin, net, best);
+    std::erase(unattached, best.pin);
+  }
+  return result;
+}
+
+TEST(Ert, BuildsTheMaterializedReferenceTreesExactly) {
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> weight(0.0, 4.0);
+  for (const std::size_t pins : {3u, 4u, 6u, 9u, 14u, 20u, 30u, 60u}) {
+    expt::NetGenerator gen(4000 + pins);
+    const graph::Net net = gen.random_net(pins);
+    std::vector<double> criticality(net.sink_count());
+    for (double& w : criticality) w = rng() % 3 == 0 ? 0.0 : weight(rng);
+    for (const bool steiner : {false, true}) {
+      for (const bool weighted : {false, true}) {
+        ErtOptions opts;
+        opts.steiner = steiner;
+        if (weighted) opts.criticality = criticality;
+        const std::string context = std::to_string(pins) + " pins" +
+                                    (steiner ? ", SERT" : "") +
+                                    (weighted ? ", weighted" : "");
+        const ErtResult got = elmore_routing_tree(net, kTech, opts);
+        const ErtResult want = reference_ert(net, opts);
+        EXPECT_EQ(io::write_routing(got.graph), io::write_routing(want.graph)) << context;
+        EXPECT_EQ(got.node_pin, want.node_pin) << context;
+      }
+    }
+  }
 }
 
 }  // namespace

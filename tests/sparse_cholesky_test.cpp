@@ -232,7 +232,7 @@ namespace ntr::delay {
 namespace {
 
 TEST(SparseMoments, SparsePathMatchesDensePath) {
-  // A net large enough to trip the sparse dispatch (limit 320 nodes):
+  // A net large enough to trip the sparse dispatch (limit 40 nodes):
   // 400 pins. Compare against the dense path run via the exposed
   // assembly on the same graph.
   expt::NetGenerator gen(31);
