@@ -55,7 +55,8 @@ int main() {
 
   std::printf(
       "\nBoth knobs trade capacitance against resistance. The joint HORG\n"
-      "search (moves compete on improvement-per-area) reaches sequential-\n"
-      "composition delays at noticeably lower area.\n");
+      "search (moves compete on improvement-per-area) lands close to the\n"
+      "sequential composition's delays, but not at consistently lower area:\n"
+      "its area is higher at some sizes and lower at others.\n");
   return 0;
 }

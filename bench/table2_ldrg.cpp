@@ -118,6 +118,28 @@ class MemoizedEvaluator final : public delay::DelayEvaluator {
   mutable std::map<std::vector<double>, std::vector<double>> cache_;
 };
 
+/// The seed's exact scoring: forwards everything but bounded_max_delay,
+/// whose base-class default ignores the bound and measures in full.
+class UnboundedEvaluator final : public delay::DelayEvaluator {
+ public:
+  explicit UnboundedEvaluator(const delay::DelayEvaluator& inner) : inner_(inner) {}
+
+  [[nodiscard]] std::vector<double> sink_delays(
+      const graph::RoutingGraph& g) const override {
+    return inner_.sink_delays(g);
+  }
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+  [[nodiscard]] std::unique_ptr<delay::CandidateScorer> make_candidate_scorer(
+      const graph::RoutingGraph& g) const override {
+    return inner_.make_candidate_scorer(g);
+  }
+
+ private:
+  const delay::DelayEvaluator& inner_;
+};
+
 /// Runs both Table-2 comparisons. `optimized` enables the memoized
 /// continuation pipeline, parallel lanes, and bounded scoring; with it off
 /// this is exactly the seed's serial pipeline.
@@ -126,12 +148,12 @@ run_table2(const bench::TableConfig& config,
            const delay::DelayEvaluator& inner_eval, bool optimized,
            PipelineStats* stats) {
   const MemoizedEvaluator memo(inner_eval, stats);
+  const UnboundedEvaluator unbounded(inner_eval);
   const delay::DelayEvaluator& eval =
-      optimized ? static_cast<const delay::DelayEvaluator&>(memo) : inner_eval;
+      optimized ? static_cast<const delay::DelayEvaluator&>(memo) : unbounded;
 
   core::LdrgOptions opts;
   opts.max_added_edges = 1;
-  opts.bounded_scoring = optimized;
   if (optimized) opts.parallel = config.parallel;
 
   std::map<std::vector<double>, graph::RoutingGraph> ldrg1_cache;

@@ -594,7 +594,6 @@ std::vector<check::LintDiagnostic> check_locks(const Project& project,
     if (lambda_ctx[fi].ctx_of(site.name_index) >= 0) continue;
     const auto ci = call_at[fi].find(site.name_index);
     if (ci != call_at[fi].end() && ci->second->member_call) {
-      const ParsedCall& call = *ci->second;
       const CallGraphNode& caller =
           graph.nodes[static_cast<std::size_t>(site.caller)];
       const ParsedSource& parsed = project.files[fi].parsed;

@@ -189,7 +189,7 @@ ParsedSource parse_source(const LexedSource& lexed) {
 
   // ----------------------------------------------------------- scope tree
   out.scopes.push_back(ParsedScope{0, toks.size(), -1, -1,
-                                   ParsedScope::Kind::kFile, ""});
+                                   ParsedScope::Kind::kFile, "", {}});
   {
     std::vector<int> stack{0};
     for (std::size_t i = 0; i < toks.size(); ++i) {

@@ -24,10 +24,13 @@ struct HorgStep {
 struct HorgOptions {
   /// Discrete widths available to every wire.
   std::vector<double> widths{1.0, 2.0, 3.0, 4.0};
-  /// Stop once total wire area exceeds this multiple of the initial area.
+  /// Moves that would push total wire area above this multiple of the
+  /// initial area are never evaluated.
   double max_area_ratio = std::numeric_limits<double>::infinity();
   /// CSORG weights, indexed like graph.sinks(); empty = minimize the max.
   std::vector<double> criticality;
+  /// A move must improve the objective by more than this fraction; must
+  /// be non-negative, as for ldrg().
   double min_relative_improvement = 1e-9;
   std::size_t max_moves = std::numeric_limits<std::size_t>::max();
 };
@@ -45,9 +48,15 @@ struct HorgResult {
 /// at each step, evaluate BOTH move families -- adding one absent wire
 /// (the ORG move) and widening one existing wire by one notch (the WSORG
 /// move) -- and commit the move with the best objective improvement per
-/// unit of added wire area. Subsumes ldrg() (widths fixed) and
-/// greedy_wire_sizing() (topology fixed); the area-normalized selection
-/// is what lets a cheap widening beat a long new wire when both help.
+/// unit of added wire area. Its move set contains ldrg()'s and
+/// greedy_wire_sizing()'s, but it does not reduce to either: even with
+/// widths = {1.0} it ranks added wires by gain per area, not by the
+/// lowest objective, and so can pick different edges from ldrg(). The
+/// area-normalized selection is what lets a cheap widening beat a long
+/// new wire when both help. Runs on ldrg()'s round engine with one lane
+/// and its contract; throws std::invalid_argument when `initial` is
+/// disconnected, `widths` is empty, or min_relative_improvement is
+/// negative or NaN.
 HorgResult horg_greedy(const graph::RoutingGraph& initial,
                        const delay::DelayEvaluator& evaluator,
                        const HorgOptions& options = {});

@@ -6,10 +6,13 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "check/contracts.h"
 #include "core/annotations.h"
+#include "core/horg.h"
+#include "core/wire_sizing.h"
 #include "check/faultinject.h"
 #include "graph/validate.h"
 #include "runtime/status.h"
@@ -51,10 +54,51 @@ double sink_objective(const std::vector<double>& sink_delays,
   return sum;
 }
 
-struct Candidate {
+/// One greedy move on a routing: add the absent wire (u, v), or, when v is
+/// kInvalidNode, widen edge u to its next allowed width.
+struct Move {
   graph::NodeId u = graph::kInvalidNode;
   graph::NodeId v = graph::kInvalidNode;
+  [[nodiscard]] bool widens() const { return v == graph::kInvalidNode; }
 };
+
+/// What a greedy loop may do to the routing, and how its rounds choose.
+struct MoveSet {
+  bool add_wires = true;
+  /// The allowed wire widths. Non-null adds the widening moves, and the
+  /// budget then counts wire area (sum of length x width), not wirelength.
+  const std::vector<double>* widths = nullptr;
+  /// Choose the largest objective gain per unit of added area (HORG)
+  /// instead of the lowest objective (LDRG, WSORG).
+  bool gain_per_area = false;
+};
+
+/// Smallest allowed width strictly above `current`, or 0 when none is.
+double next_width(const std::vector<double>& widths, double current) {
+  double best = 0.0;
+  for (const double w : widths)
+    if (w > current && (best == 0.0 || w < best)) best = w;
+  return best;
+}
+
+/// The cost `move` adds to `g`: the new wire's length (also its area, at
+/// unit width), or the widened wire's extra area.
+double added_cost(const graph::RoutingGraph& g, const Move& move,
+                  const std::vector<double>* widths) {
+  if (!move.widens())
+    return geom::manhattan_distance(g.node(move.u).pos, g.node(move.v).pos);
+  const graph::GraphEdge& edge = g.edge(move.u);
+  return edge.length * (next_width(*widths, edge.width) - edge.width);
+}
+
+/// Applies `move` to `g` and returns the width of the wire it touched.
+double apply(graph::RoutingGraph& g, const Move& move,
+             const std::vector<double>* widths) {
+  if (!move.widens()) return g.edge(g.add_edge(move.u, move.v)).width;
+  const double w = next_width(*widths, g.edge(move.u).width);
+  g.set_edge_width(move.u, w);
+  return w;
+}
 
 /// A candidate's score and its index in the round's scan order. Ordered
 /// by (score, index), which reproduces the serial loop's "strict
@@ -71,8 +115,8 @@ bool ranks_before(const Scored& a, const Scored& b) {
 /// How a round ranks its candidates before the exact evaluator verifies
 /// them.
 struct Ranking {
-  /// Its make_candidate_scorer ranks; without a scorer every candidate is
-  /// verified.
+  /// Its make_candidate_scorer ranks; without a scorer (or a source)
+  /// every candidate is verified.
   const delay::DelayEvaluator* source = nullptr;
   /// How many of the best-ranked candidates are verified.
   std::size_t keep = 1;
@@ -82,34 +126,46 @@ struct Ranking {
   bool scores_objective = false;
 };
 
-/// The accepted edge of one round and the exact objective with it added.
+/// The accepted move of one round and the exact objective after it.
 struct Pick {
-  Candidate edge;
+  Move move;
   double objective = 0.0;
 };
 
 /// One round of the greedy loop (paper Fig. 4: "exists e_ij improving
-/// t(G)?") over `g`, whose wirelength is `cost`: the best absent pair
-/// within `cost_budget` whose exact objective is below `accept_below`, or
-/// nullopt when there is none.
+/// t(G)?") over `g`, whose cost is `cost` and objective `current`: the
+/// best move within `cost_budget` whose exact objective improves on
+/// `current` by options.min_relative_improvement, or nullopt when there
+/// is none.
 std::optional<Pick> ldrg_round(const graph::RoutingGraph& g, double cost,
-                               double cost_budget, double accept_below,
+                               double cost_budget, double current,
                                const delay::DelayEvaluator& evaluator,
-                               const Ranking& ranking, const LdrgOptions& options,
-                               ThreadPool* pool, std::size_t lanes) {
-  // 1. Enumerate every absent pair (pins and Steiner points alike) within
-  // the cost budget; the enumeration order defines the tie-break index.
+                               const MoveSet& moves, const Ranking& ranking,
+                               const LdrgOptions& options, ThreadPool* pool,
+                               std::size_t lanes) {
+  const double accept_below = current * (1.0 - options.min_relative_improvement);
+
+  // 1. Enumerate the moves within the cost budget: every absent pair (pins
+  // and Steiner points alike), then every wire below the widest width.
+  // The enumeration order defines the tie-break index.
   NTR_FAULT_POINT(kLdrgAllocation);
-  std::vector<Candidate> candidates;
-  candidates.reserve(g.node_count() * (g.node_count() - 1) / 2);
-  for (graph::NodeId u = 0; u < g.node_count(); ++u) {
-    for (graph::NodeId v = u + 1; v < g.node_count(); ++v) {
-      if (g.has_edge(u, v)) continue;
-      const double edge_len =
-          geom::manhattan_distance(g.node(u).pos, g.node(v).pos);
-      if (cost + edge_len > cost_budget) continue;
-      candidates.push_back({u, v});
-    }
+  std::vector<Move> candidates;
+  candidates.reserve(g.node_count() * (g.node_count() - 1) / 2 + g.edge_count());
+  const auto consider = [&](const Move& move) {
+    const double added = added_cost(g, move, moves.widths);
+    if (cost + added > cost_budget) return;
+    if (moves.gain_per_area && added <= 0.0) return;  // no gain per area
+    candidates.push_back(move);
+  };
+  if (moves.add_wires) {
+    for (graph::NodeId u = 0; u < g.node_count(); ++u)
+      for (graph::NodeId v = u + 1; v < g.node_count(); ++v)
+        if (!g.has_edge(u, v)) consider(Move{u, v});
+  }
+  if (moves.widths) {
+    for (graph::EdgeId e = 0; e < g.edge_count(); ++e)
+      if (next_width(*moves.widths, g.edge(e).width) != 0.0)
+        consider(Move{e, graph::kInvalidNode});
   }
   if (candidates.empty()) return std::nullopt;
 
@@ -136,12 +192,12 @@ std::optional<Pick> ldrg_round(const graph::RoutingGraph& g, double cost,
   };
 
   // 2. Rank with a delta engine (Sherman-Morrison Elmore scores a
-  // candidate in O(sinks) off a factorization of `g`, rebuilt every round
-  // because the accepted edge invalidates it) and keep the best `keep` by
-  // (score, index). Scores land at their enumeration index, so the
-  // ranking is bit-identical for every lane count.
+  // candidate wire in O(sinks) off a factorization of `g`, rebuilt every
+  // round because the accepted edge invalidates it) and keep the best
+  // `keep` by (score, index). Scores land at their enumeration index, so
+  // the ranking is bit-identical for every lane count.
   const std::unique_ptr<delay::CandidateScorer> scorer =
-      ranking.source->make_candidate_scorer(g);
+      ranking.source ? ranking.source->make_candidate_scorer(g) : nullptr;
   if (scorer) {
     std::vector<Scored> ranked(candidates.size());
     scan(candidates.size(), "ldrg ranking scan", [&](std::size_t, std::size_t i) {
@@ -158,95 +214,149 @@ std::optional<Pick> ldrg_round(const graph::RoutingGraph& g, double cost,
     std::partial_sort(ranked.begin(),
                       ranked.begin() + static_cast<std::ptrdiff_t>(keep),
                       ranked.end(), ranks_before);
-    std::vector<Candidate> shortlist;
+    std::vector<Move> shortlist;
     shortlist.reserve(keep);
     for (std::size_t k = 0; k < keep; ++k)
       shortlist.push_back(candidates[ranked[k].index]);
     candidates = std::move(shortlist);
   }
 
-  // 3. Verify with the exact evaluator. Each lane's best is seeded at the
-  // acceptance threshold and doubles as its branch-and-bound cutoff: a
-  // candidate whose delay provably exceeds it can never win, so its
-  // evaluation may stop early.
-  const bool bounded = options.criticality.empty() && options.bounded_scoring;
-  std::vector<Scored> lane_best(lanes, Scored{accept_below, kNoCandidate});
+  // 3. Verify with the exact evaluator; a move counts only below the
+  // acceptance threshold. The lowest-objective rule scores a move by its
+  // objective and gives up once that provably exceeds the lane's best;
+  // the gain-per-area rule scores the negated gain per area and gives up
+  // at the threshold, which every winner is below.
+  const bool bounded = options.criticality.empty();
+  const Scored none{moves.gain_per_area ? std::numeric_limits<double>::infinity()
+                                        : accept_below,
+                    kNoCandidate};
+  struct Verified {
+    Scored rank;
+    double objective = 0.0;
+  };
+  std::vector<Verified> lane_best(lanes, Verified{none});
   scan(candidates.size(), "ldrg candidate scan", [&](std::size_t lane, std::size_t k) {
-    Scored& best = lane_best[lane];
+    Verified& best = lane_best[lane];
+    const Move& move = candidates[k];
     graph::RoutingGraph trial = g;
-    trial.add_edge(candidates[k].u, candidates[k].v);
-    const double t = bounded ? evaluator.bounded_max_delay(trial, best.score)
+    apply(trial, move, moves.widths);
+    const double give_up = moves.gain_per_area ? accept_below : best.rank.score;
+    const double t = bounded ? evaluator.bounded_max_delay(trial, give_up)
                              : evaluator.objective(trial, options.criticality);
-    if (t < best.score) best = Scored{t, k};
+    if (!(t < accept_below)) return;
+    const double score = moves.gain_per_area
+                             ? (t - current) / added_cost(g, move, moves.widths)
+                             : t;
+    if (score < best.rank.score) best = Verified{Scored{score, k}, t};
   });
 
   // 4. Reduce by (score, index), independent of lane count and scheduling.
-  Scored best{accept_below, kNoCandidate};
-  for (const Scored& lb : lane_best)
-    if (ranks_before(lb, best)) best = lb;
+  Verified best{none};
+  for (const Verified& lb : lane_best)
+    if (ranks_before(lb.rank, best.rank)) best = lb;
 
-  // 5. Accept the winner, or stop: no candidate improves t(G).
-  if (best.index == kNoCandidate) return std::nullopt;
-  return Pick{candidates[best.index], best.score};
+  // 5. Accept the winner, or stop: no move improves t(G).
+  if (best.rank.index == kNoCandidate) return std::nullopt;
+  return Pick{candidates[best.rank.index], best.objective};
 }
 
-/// The greedy loop behind ldrg and ldrg_screened.
+/// One accepted move as the loop records it; each entry point maps it to
+/// its own step type.
+struct GreedyStep {
+  Move move;
+  double old_width = 0.0;  ///< widening moves only
+  double new_width = 0.0;  ///< the touched wire's width after the move
+  double objective_before = 0.0;
+  double objective_after = 0.0;
+  double cost_after = 0.0;
+};
+
+struct GreedyRun {
+  graph::RoutingGraph graph;
+  double initial_objective = 0.0;
+  double final_objective = 0.0;
+  double initial_cost = 0.0;
+  double final_cost = 0.0;
+  std::vector<GreedyStep> steps;
+};
+
+/// The greedy loop behind ldrg, ldrg_screened, greedy_wire_sizing and
+/// horg_greedy; `who` names the entry point in error messages.
 // NTR_HOT: the per-round candidate scan is the paper's O(n^2) inner
 // loop; everything this reaches must be allocation-disciplined.
-NTR_HOT LdrgResult run_ldrg(const graph::RoutingGraph& initial,
-                            const delay::DelayEvaluator& evaluator,
-                            const LdrgOptions& options, const Ranking& ranking) {
-  if (!initial.is_connected())
-    throw std::invalid_argument("ldrg: initial routing must be connected");
+NTR_HOT GreedyRun run_ldrg(const char* who, const graph::RoutingGraph& initial,
+                           const delay::DelayEvaluator& evaluator,
+                           const LdrgOptions& options, const MoveSet& moves,
+                           const Ranking& ranking) {
+  const auto throw_invalid = [who](const char* what) {
+    throw std::invalid_argument(std::string(who) + ": " + what);
+  };
+  if (!initial.is_connected()) throw_invalid("initial routing must be connected");
   if (!(options.min_relative_improvement >= 0.0))
-    throw std::invalid_argument(
-        "ldrg: min_relative_improvement must be non-negative");
+    throw_invalid("min_relative_improvement must be non-negative");
+  if (moves.widths && moves.widths->empty()) throw_invalid("widths must be non-empty");
 
-  LdrgResult result;
-  result.graph = initial;
-  result.initial_objective = evaluator.objective(result.graph, options.criticality);
-  result.initial_cost = result.graph.total_wirelength();
-  result.final_objective = result.initial_objective;
-  result.final_cost = result.initial_cost;
+  const auto cost_of = [&moves](const graph::RoutingGraph& g) {
+    return moves.widths ? g.total_wire_area() : g.total_wirelength();
+  };
+  GreedyRun run;
+  run.graph = initial;
+  run.initial_objective = evaluator.objective(run.graph, options.criticality);
+  run.initial_cost = cost_of(run.graph);
+  run.final_objective = run.initial_objective;
+  run.final_cost = run.initial_cost;
 
-  const double cost_budget = options.max_cost_ratio * result.initial_cost;
+  const double cost_budget = options.max_cost_ratio * run.initial_cost;
   const std::size_t lanes = options.parallel.resolved_threads();
   std::unique_ptr<ThreadPool> pool;
   if (lanes > 1) pool = std::make_unique<ThreadPool>(lanes);
 
   const bool stop_engaged = options.stop.engaged();
-  while (result.steps.size() < options.max_added_edges) {
-    // Round boundary: the natural resumption point -- result.graph holds a
-    // complete, valid routing after every accepted edge, so unwinding here
+  while (run.steps.size() < options.max_added_edges) {
+    // Round boundary: the natural resumption point -- run.graph holds a
+    // complete, valid routing after every accepted move, so unwinding here
     // loses at most one round of scan work.
     NTR_FAULT_POINT(kLdrgDeadline);
     if (stop_engaged) options.stop.throw_if_stopped("ldrg round");
 
-    const double current = result.final_objective;
-    const double accept_below =
-        current * (1.0 - options.min_relative_improvement);
+    const double current = run.final_objective;
     const std::optional<Pick> pick =
-        ldrg_round(result.graph, result.final_cost, cost_budget, accept_below,
-                   evaluator, ranking, options, pool.get(), lanes);
+        ldrg_round(run.graph, run.final_cost, cost_budget, current, evaluator,
+                   moves, ranking, options, pool.get(), lanes);
     if (!pick) break;
 
-    result.graph.add_edge(pick->edge.u, pick->edge.v);
-    result.final_objective = pick->objective;
-    result.final_cost = result.graph.total_wirelength();
+    GreedyStep step{pick->move, 0.0, 0.0, current, pick->objective, 0.0};
+    if (pick->move.widens()) step.old_width = run.graph.edge(pick->move.u).width;
+    step.new_width = apply(run.graph, pick->move, moves.widths);
+    run.final_objective = pick->objective;
+    run.final_cost = cost_of(run.graph);
+    step.cost_after = run.final_cost;
     // ntr-alloc-in-hot-path(one step per accepted round; the trace IS the result)
-    result.steps.push_back(LdrgStep{pick->edge.u, pick->edge.v, current,
-                                    pick->objective, result.final_cost});
+    run.steps.push_back(step);
   }
 
-  // Every accepted edge strictly improved the objective and stayed within
-  // the wirelength budget, and edge insertion cannot disconnect a graph.
-  NTR_CHECK(result.final_objective <= result.initial_objective);
-  NTR_CHECK(result.final_cost <=
-            std::max(result.initial_cost, cost_budget) * (1.0 + 1e-12));
+  // Every accepted move strictly improved the objective and stayed within
+  // the budget, and no move can disconnect a graph.
+  NTR_CHECK(run.final_objective <= run.initial_objective);
+  NTR_CHECK(run.final_cost <= std::max(run.initial_cost, cost_budget) * (1.0 + 1e-12));
   NTR_DCHECK(check::require(
-      graph::validate_graph(result.graph, {.require_connected = true}),
-      "ldrg postcondition"));
+      graph::validate_graph(run.graph, {.require_connected = true}),
+      "greedy loop postcondition"));
+  return run;
+}
+
+/// An entry point's result: the run's routing, objectives and costs, and
+/// its steps mapped by `convert`.
+template <class Result, class Convert>
+Result publish(GreedyRun run, Convert convert) {
+  Result result{std::move(run.graph), run.initial_objective, run.final_objective,
+                run.initial_cost,     run.final_cost,        {}};
+  for (const GreedyStep& s : run.steps) result.steps.push_back(convert(s));
   return result;
+}
+
+LdrgStep ldrg_step(const GreedyStep& s) {
+  return {s.move.u, s.move.v, s.objective_before, s.objective_after, s.cost_after};
 }
 
 }  // namespace
@@ -255,8 +365,10 @@ LdrgResult ldrg(const graph::RoutingGraph& initial,
                 const delay::DelayEvaluator& evaluator, const LdrgOptions& options) {
   // The evaluator's own scorer estimates the objective it verifies, so
   // only the best-ranked candidate needs the exact evaluation.
-  return run_ldrg(initial, evaluator, options,
-                  Ranking{&evaluator, 1, /*scores_objective=*/true});
+  return publish<LdrgResult>(
+      run_ldrg("ldrg", initial, evaluator, options, MoveSet{},
+               Ranking{&evaluator, 1, /*scores_objective=*/true}),
+      ldrg_step);
 }
 
 LdrgResult ldrg_screened(const graph::RoutingGraph& initial,
@@ -266,8 +378,46 @@ LdrgResult ldrg_screened(const graph::RoutingGraph& initial,
   if (options.verify_top_k == 0)
     throw std::invalid_argument("ldrg_screened: verify_top_k must be positive");
   const delay::GraphElmoreEvaluator screen(tech);
-  return run_ldrg(initial, evaluator, options.base,
-                  Ranking{&screen, options.verify_top_k, /*scores_objective=*/false});
+  return publish<LdrgResult>(
+      run_ldrg("ldrg_screened", initial, evaluator, options.base, MoveSet{},
+               Ranking{&screen, options.verify_top_k, /*scores_objective=*/false}),
+      ldrg_step);
+}
+
+WireSizingResult greedy_wire_sizing(const graph::RoutingGraph& initial,
+                                    const delay::DelayEvaluator& evaluator,
+                                    const WireSizingOptions& options) {
+  LdrgOptions loop;
+  loop.min_relative_improvement = options.min_relative_improvement;
+  loop.max_cost_ratio = options.max_area_ratio;
+  loop.criticality = options.criticality;
+  return publish<WireSizingResult>(
+      run_ldrg("greedy_wire_sizing", initial, evaluator, loop,
+               MoveSet{.add_wires = false, .widths = &options.widths}, Ranking{}),
+      [](const GreedyStep& s) {
+        return SizingStep{s.move.u,         s.old_width,       s.new_width,
+                          s.objective_before, s.objective_after, s.cost_after};
+      });
+}
+
+HorgResult horg_greedy(const graph::RoutingGraph& initial,
+                       const delay::DelayEvaluator& evaluator,
+                       const HorgOptions& options) {
+  LdrgOptions loop;
+  loop.max_added_edges = options.max_moves;
+  loop.min_relative_improvement = options.min_relative_improvement;
+  loop.max_cost_ratio = options.max_area_ratio;
+  loop.criticality = options.criticality;
+  return publish<HorgResult>(
+      run_ldrg("horg_greedy", initial, evaluator, loop,
+               MoveSet{.widths = &options.widths, .gain_per_area = true}, Ranking{}),
+      [](const GreedyStep& s) {
+        const bool widen = s.move.widens();
+        return HorgStep{widen ? HorgStep::Kind::kWidenEdge : HorgStep::Kind::kAddEdge,
+                        widen ? graph::kInvalidNode : s.move.u, s.move.v,
+                        widen ? s.move.u : graph::kInvalidEdge, s.new_width,
+                        s.objective_before, s.objective_after, s.cost_after};
+      });
 }
 
 }  // namespace ntr::core

@@ -49,14 +49,6 @@ struct LdrgOptions {
   /// so the lane count can never change the chosen edge.
   ParallelConfig parallel;
 
-  /// Lets the evaluator stop verifying a candidate as soon as its delay
-  /// provably exceeds the best score seen so far (bounded_max_delay). A
-  /// pure branch-and-bound cutoff: pruned candidates were never winners,
-  /// so the selected edges and reported objectives are unchanged. Only
-  /// applies to the ORG (max-delay) objective; disable to force full
-  /// scoring of every verified candidate.
-  bool bounded_scoring = true;
-
   /// Cooperative deadline/cancellation. Polled at every round boundary
   /// and every 16 candidates inside each scan lane; when it trips, the
   /// lanes drain cooperatively (the pool joins cleanly) and ldrg unwinds
@@ -91,6 +83,10 @@ struct LdrgResult {
 /// Each round enumerates the absent pairs within the cost budget. When the
 /// evaluator offers a CandidateScorer, the scorer ranks them and only the
 /// best one is measured exactly; otherwise every candidate is measured.
+/// Under the ORG objective a measurement may give up once the delay
+/// provably exceeds the best one so far (bounded_max_delay); such a
+/// candidate could never win, so no output changes. The same loop runs
+/// greedy_wire_sizing() and horg_greedy() with widening moves.
 /// Throws std::invalid_argument when `initial` is disconnected or
 /// min_relative_improvement is negative or NaN.
 LdrgResult ldrg(const graph::RoutingGraph& initial,

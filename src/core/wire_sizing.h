@@ -25,13 +25,15 @@ struct WireSizingOptions {
   /// width w behave as one wire of width 2w).
   std::vector<double> widths{1.0, 2.0, 3.0, 4.0};
 
-  /// Abort once total wire area would exceed this multiple of the
-  /// unit-width area (infinity = unconstrained).
+  /// Widenings that would push total wire area above this multiple of
+  /// the initial area are never evaluated (infinity = unconstrained).
   double max_area_ratio = std::numeric_limits<double>::infinity();
 
   /// CSORG weights, indexed like graph.sinks(); empty = minimize the max.
   std::vector<double> criticality;
 
+  /// A widening must improve the objective by more than this fraction;
+  /// must be non-negative, as for ldrg().
   double min_relative_improvement = 1e-9;
 };
 
@@ -52,7 +54,10 @@ struct WireSizingResult {
 /// (Technology::wire_resistance / wire_capacitance), so -- like non-tree
 /// edge insertion -- each acceptance is a resistance-vs-capacitance trade.
 /// Works on trees and non-tree graphs alike, and composes with ldrg() to
-/// realize the paper's HORG formulation (Section 5.3).
+/// realize the paper's HORG formulation (Section 5.3). Runs on ldrg()'s
+/// round engine with one lane and its contract; throws
+/// std::invalid_argument when `initial` is disconnected, `widths` is
+/// empty, or min_relative_improvement is negative or NaN.
 WireSizingResult greedy_wire_sizing(const graph::RoutingGraph& initial,
                                     const delay::DelayEvaluator& evaluator,
                                     const WireSizingOptions& options = {});

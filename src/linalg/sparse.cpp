@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 #include <utility>
-
-#include "runtime/status.h"
 
 namespace ntr::linalg {
 
@@ -91,65 +88,12 @@ double CsrMatrix::at(std::size_t r, std::size_t c) const {
   return 0.0;
 }
 
-Vector CsrMatrix::diagonal() const {
-  Vector d(rows(), 0.0);
-  for (std::size_t r = 0; r < rows(); ++r) d[r] = at(r, r);
-  return d;
-}
-
 DenseMatrix CsrMatrix::to_dense() const {
   DenseMatrix m(rows(), cols_);
   for (std::size_t r = 0; r < rows(); ++r)
     for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
       m(r, col_idx_[k]) = values_[k];
   return m;
-}
-
-CgResult conjugate_gradient(const CsrMatrix& a, std::span<const double> b,
-                            double rel_tolerance, std::size_t max_iters) {
-  const std::size_t n = a.rows();
-  if (a.cols() != n || b.size() != n)
-    throw std::invalid_argument("conjugate_gradient: shape mismatch");
-
-  Vector inv_diag = a.diagonal();
-  for (double& d : inv_diag) {
-    if (d <= 0.0)
-      throw runtime::NtrError(
-          runtime::StatusCode::kSingular,
-          "conjugate_gradient: non-positive diagonal (not SPD?)");
-    d = 1.0 / d;
-  }
-
-  CgResult result;
-  result.x.assign(n, 0.0);
-  Vector r(b.begin(), b.end());
-  const double b_norm = norm2(b);
-  if (b_norm == 0.0) return result;  // x = 0 solves exactly
-
-  Vector z(n);
-  for (std::size_t i = 0; i < n; ++i) z[i] = inv_diag[i] * r[i];
-  Vector p = z;
-  double rz = dot(r, z);
-
-  for (std::size_t it = 0; it < max_iters; ++it) {
-    const Vector ap = a.multiply(p);
-    const double alpha = rz / dot(p, ap);
-    axpy(alpha, p, result.x);
-    axpy(-alpha, ap, r);
-    result.residual_norm = norm2(r);
-    result.iterations = it + 1;
-    if (result.residual_norm <= rel_tolerance * b_norm) return result;
-    for (std::size_t i = 0; i < n; ++i) z[i] = inv_diag[i] * r[i];
-    const double rz_next = dot(r, z);
-    const double beta = rz_next / rz;
-    rz = rz_next;
-    for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
-  }
-  throw runtime::NtrError(
-      runtime::StatusCode::kNonFinite,
-      "conjugate_gradient: did not converge in " + std::to_string(max_iters) +
-          " iterations (n=" + std::to_string(n) + ", residual " +
-          std::to_string(result.residual_norm) + ")");
 }
 
 }  // namespace ntr::linalg

@@ -60,7 +60,6 @@ class CsrMatrix {
   [[nodiscard]] Vector multiply(std::span<const double> x) const;
 
   [[nodiscard]] double at(std::size_t r, std::size_t c) const;
-  [[nodiscard]] Vector diagonal() const;
 
   [[nodiscard]] DenseMatrix to_dense() const;
 
@@ -70,20 +69,5 @@ class CsrMatrix {
   std::vector<std::size_t> col_idx_;
   std::vector<double> values_;
 };
-
-/// Preconditioned conjugate gradient for SPD systems. Jacobi (diagonal)
-/// preconditioner -- effective for diagonally dominant conductance
-/// matrices. Returns the iteration count used; throws
-/// ntr::runtime::NtrError if the tolerance is not reached within
-/// max_iters.
-struct CgResult {
-  Vector x;
-  std::size_t iterations = 0;
-  double residual_norm = 0.0;
-};
-
-CgResult conjugate_gradient(const CsrMatrix& a, std::span<const double> b,
-                            double rel_tolerance = 1e-10,
-                            std::size_t max_iters = 10'000);
 
 }  // namespace ntr::linalg

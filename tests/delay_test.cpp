@@ -264,7 +264,9 @@ TEST(TreeLeafElmore, RejectsNonTreesAndBadQueries) {
   EXPECT_THROW(leaf_elmore.delays_with_leaf(0, {0, 0}, graph::NodeKind::kSink, short_out),
                std::invalid_argument);
   g.add_edge(0, g.node_count() - 1);
-  if (!g.is_tree()) EXPECT_THROW(TreeLeafElmore(g, kTech), std::invalid_argument);
+  if (!g.is_tree()) {
+    EXPECT_THROW(TreeLeafElmore(g, kTech), std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/ldrg.h"
@@ -41,13 +43,32 @@ void expect_identical(const core::LdrgResult& got, const core::LdrgResult& want,
   }
 }
 
+/// Forwards everything but bounded_max_delay, whose base-class default
+/// ignores the bound: every verified candidate is measured in full.
+class UnboundedEvaluator final : public delay::DelayEvaluator {
+ public:
+  explicit UnboundedEvaluator(const delay::DelayEvaluator& inner) : inner_(inner) {}
+  [[nodiscard]] std::vector<double> sink_delays(
+      const graph::RoutingGraph& g) const override {
+    return inner_.sink_delays(g);
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] std::unique_ptr<delay::CandidateScorer> make_candidate_scorer(
+      const graph::RoutingGraph& g) const override {
+    return inner_.make_candidate_scorer(g);
+  }
+
+ private:
+  const delay::DelayEvaluator& inner_;
+};
+
 core::LdrgResult run_ldrg(const graph::RoutingGraph& initial,
                           const delay::DelayEvaluator& eval, std::size_t threads,
                           bool bounded) {
   core::LdrgOptions opts;
   opts.parallel.num_threads = threads;
-  opts.bounded_scoring = bounded;
-  return core::ldrg(initial, eval, opts);
+  if (bounded) return core::ldrg(initial, eval, opts);
+  return core::ldrg(initial, UnboundedEvaluator(eval), opts);
 }
 
 TEST(LdrgParallel, TransientEvaluatorBitIdenticalAcrossThreadCounts) {

@@ -142,28 +142,5 @@ TEST(Sparse, MultiplyMatchesDense) {
   for (std::size_t i = 0; i < 10; ++i) EXPECT_NEAR(ys[i], yd[i], 1e-12);
 }
 
-TEST(ConjugateGradient, SolvesSpdSystem) {
-  const std::size_t n = 30;
-  const DenseMatrix a = random_spd(n, 9);
-  TripletBuilder tb(n, n);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = 0; c < n; ++c)
-      if (a(r, c) != 0.0) tb.add(r, c, a(r, c));
-  const CsrMatrix acsr(tb);
-  const Vector x_true = random_vector(n, 77);
-  const Vector b = a.multiply(x_true);
-  const CgResult res = conjugate_gradient(acsr, b, 1e-12);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(res.x[i], x_true[i], 1e-6);
-  EXPECT_GT(res.iterations, 0u);
-}
-
-TEST(ConjugateGradient, ZeroRhsReturnsZero) {
-  TripletBuilder tb(3, 3);
-  for (std::size_t i = 0; i < 3; ++i) tb.add(i, i, 2.0);
-  const CgResult res = conjugate_gradient(CsrMatrix(tb), Vector{0, 0, 0});
-  EXPECT_EQ(res.iterations, 0u);
-  EXPECT_EQ(res.x, (Vector{0, 0, 0}));
-}
-
 }  // namespace
 }  // namespace ntr::linalg

@@ -1,8 +1,9 @@
 // ntr_chaosproxy: deterministic network-fault proxy for ntr_serve.
 //
-//   $ ntr_chaosproxy --port-file /tmp/chaos.port \
-//       --upstream-port-file /tmp/ntr.port \
+//   $ ntr_chaosproxy --port-file /tmp/chaos.port
+//       --upstream-port-file /tmp/ntr.port
 //       --spec "seed=42,tear=0.5,delay=0.2,disconnect=0.02"
+//   (one command line, wrapped here)
 //
 // Forwards framed-JSON traffic to a running server while replaying a
 // seeded schedule of torn frames, delayed/partial writes, slow-loris
