@@ -8,6 +8,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -151,6 +153,30 @@ void BM_CandidateScorer(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CandidateScorer)->Arg(30)->Arg(100)->Arg(200);
+
+// What the ranking scan pays per candidate instead: the bounded max
+// objective, bounded by the round's final best score -- the steady state
+// of a scan, where almost every candidate stops at its first sinks.
+void BM_CandidateObjective(benchmark::State& state) {
+  const graph::RoutingGraph g =
+      graph::mst_routing(make_net(static_cast<std::size_t>(state.range(0))));
+  const delay::GraphElmoreEvaluator eval(kTech);
+  const std::unique_ptr<delay::CandidateScorer> scorer = eval.make_candidate_scorer(g);
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
+  for (graph::NodeId u = 0; u < g.node_count(); ++u)
+    for (graph::NodeId v = u + 1; v < g.node_count(); ++v)
+      if (!g.has_edge(u, v)) pairs.emplace_back(u, v);
+  double best = std::numeric_limits<double>::infinity();
+  for (const auto& [u, v] : pairs)
+    best = std::min(best, scorer->candidate_objective(u, v, {}, best));
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto& [u, v] = pairs[next];
+    benchmark::DoNotOptimize(scorer->candidate_objective(u, v, {}, best));
+    next = next + 1 == pairs.size() ? 0 : next + 1;
+  }
+}
+BENCHMARK(BM_CandidateObjective)->Arg(30)->Arg(100)->Arg(200);
 
 // The whole ERT construction (the seed of ERT-LDRG), which scores every
 // node attachment of every unattached pin in each of its rounds.

@@ -27,7 +27,8 @@ struct HorgOptions {
   /// Moves that would push total wire area above this multiple of the
   /// initial area are never evaluated.
   double max_area_ratio = std::numeric_limits<double>::infinity();
-  /// CSORG weights, indexed like graph.sinks(); empty = minimize the max.
+  /// CSORG weights, indexed like graph.sinks(); empty = minimize the
+  /// max. When given, one non-negative (not NaN) weight per sink.
   std::vector<double> criticality;
   /// A move must improve the objective by more than this fraction; must
   /// be non-negative, as for ldrg().

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -21,38 +22,19 @@ namespace ntr::core {
 
 namespace {
 
-/// In-lane stop-poll stride: every 16 candidates each lane re-checks the
-/// shared stop flag and the token. Candidate scoring dominates the cost
-/// (an LU solve or an O(n) delta), so 16 bounds cancellation latency to a
-/// few scores without measurable overhead.
-constexpr std::size_t kLaneStopStride = 16;
+/// In-lane stop-poll strides: every so many candidates each lane
+/// re-checks the shared stop flag and the token. An engaged poll reads the
+/// clock, 46 ns on a Xeon VM with a TSC clock source, about the cost of
+/// one bounded Elmore score (30-40 ns). Polling the ranking scan every 16
+/// scores cost an engaged 100-200-pin graph-Elmore LDRG a median 7% of
+/// its run there (six alternating runs each), every 64 about 2%, and 64
+/// scores still bound its cancellation latency to a few microseconds.
+/// Verification evaluates exactly, 10 us and up per candidate, where a
+/// poll is noise and 16 bounds the latency to a few evaluations.
+constexpr std::size_t kRankStopStride = 64;
+constexpr std::size_t kVerifyStopStride = 16;
 
 constexpr std::size_t kNoCandidate = std::numeric_limits<std::size_t>::max();
-
-double sink_objective(const std::vector<double>& sink_delays,
-                      const std::vector<double>& criticality) {
-  if (criticality.empty()) {
-    // Four running maxima: max is exact and order-free, so this is the
-    // serial maximum without its one long dependency chain.
-    double w0 = 0.0, w1 = 0.0, w2 = 0.0, w3 = 0.0;
-    const std::size_t n = sink_delays.size();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      w0 = std::max(w0, sink_delays[i]);
-      w1 = std::max(w1, sink_delays[i + 1]);
-      w2 = std::max(w2, sink_delays[i + 2]);
-      w3 = std::max(w3, sink_delays[i + 3]);
-    }
-    for (; i < n; ++i) w0 = std::max(w0, sink_delays[i]);
-    return std::max(std::max(w0, w1), std::max(w2, w3));
-  }
-  if (criticality.size() != sink_delays.size())
-    throw std::invalid_argument("ldrg: criticality size must match sink count");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < sink_delays.size(); ++i)
-    sum += criticality[i] * sink_delays[i];
-  return sum;
-}
 
 /// One greedy move on a routing: add the absent wire (u, v), or, when v is
 /// kInvalidNode, widen edge u to its next allowed width.
@@ -151,21 +133,28 @@ std::optional<Pick> ldrg_round(const graph::RoutingGraph& g, double cost,
   NTR_FAULT_POINT(kLdrgAllocation);
   std::vector<Move> candidates;
   candidates.reserve(g.node_count() * (g.node_count() - 1) / 2 + g.edge_count());
-  const auto consider = [&](const Move& move) {
-    const double added = added_cost(g, move, moves.widths);
+  const auto consider = [&](const Move& move, double added) {
     if (cost + added > cost_budget) return;
     if (moves.gain_per_area && added <= 0.0) return;  // no gain per area
     candidates.push_back(move);
   };
   if (moves.add_wires) {
-    for (graph::NodeId u = 0; u < g.node_count(); ++u)
-      for (graph::NodeId v = u + 1; v < g.node_count(); ++v)
-        if (!g.has_edge(u, v)) consider(Move{u, v});
+    // Row u stamps its neighbours with u, so a pair's absence is one load.
+    const std::span<const graph::GraphNode> nodes = g.nodes();
+    std::vector<graph::NodeId> wired(nodes.size(), graph::kInvalidNode);
+    for (graph::NodeId u = 0; u < nodes.size(); ++u) {
+      for (const graph::EdgeId e : g.incident_edges(u)) wired[g.other_endpoint(e, u)] = u;
+      for (graph::NodeId v = u + 1; v < nodes.size(); ++v)
+        if (wired[v] != u)
+          consider(Move{u, v}, geom::manhattan_distance(nodes[u].pos, nodes[v].pos));
+    }
   }
   if (moves.widths) {
-    for (graph::EdgeId e = 0; e < g.edge_count(); ++e)
+    for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
+      const Move widen{e, graph::kInvalidNode};
       if (next_width(*moves.widths, g.edge(e).width) != 0.0)
-        consider(Move{e, graph::kInvalidNode});
+        consider(widen, added_cost(g, widen, moves.widths));
+    }
   }
   if (candidates.empty()) return std::nullopt;
 
@@ -174,11 +163,12 @@ std::optional<Pick> ldrg_round(const graph::RoutingGraph& g, double cost,
   // it at their next stride check and break too, so the pool joins
   // promptly and the trip rethrows as a typed error.
   const bool stop_engaged = options.stop.engaged();
-  const auto scan = [&](std::size_t n, const char* where, const auto& visit) {
+  const auto scan = [&](std::size_t n, std::size_t stride, const char* where,
+                        const auto& visit) {
     std::atomic<bool> stop_hit{false};
     parallel_chunks(pool, n, [&](std::size_t lane, std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) {
-        if (stop_engaged && (i - begin) % kLaneStopStride == 0) {
+        if (stop_engaged && (i - begin) % stride == 0) {
           if (stop_hit.load(std::memory_order_relaxed) ||
               options.stop.poll() != runtime::StatusCode::kOk) {
             stop_hit.store(true, std::memory_order_relaxed);
@@ -193,30 +183,44 @@ std::optional<Pick> ldrg_round(const graph::RoutingGraph& g, double cost,
 
   // 2. Rank with a delta engine (Sherman-Morrison Elmore scores a
   // candidate wire in O(sinks) off a factorization of `g`, rebuilt every
-  // round because the accepted edge invalidates it) and keep the best
-  // `keep` by (score, index). Scores land at their enumeration index, so
-  // the ranking is bit-identical for every lane count.
+  // round because the accepted edge invalidates it). Each lane keeps its
+  // best `keep` by (score, index), sorted, and bounds every query by the
+  // score a candidate must beat to join them: the lane's K-th, or the
+  // cutoff until it has K. The global best `keep` lie in the union of the
+  // lanes', so the shortlist is the same for every lane count.
   const std::unique_ptr<delay::CandidateScorer> scorer =
       ranking.source ? ranking.source->make_candidate_scorer(g) : nullptr;
   if (scorer) {
-    std::vector<Scored> ranked(candidates.size());
-    scan(candidates.size(), "ldrg ranking scan", [&](std::size_t, std::size_t i) {
-      ranked[i] = Scored{
-          sink_objective(scorer->candidate_sink_delays(candidates[i].u, candidates[i].v),
-                         options.criticality),
-          i};
-    });
     const double cutoff = ranking.scores_objective
                               ? accept_below
                               : std::numeric_limits<double>::infinity();
-    std::erase_if(ranked, [&](const Scored& s) { return !(s.score < cutoff); });
-    const std::size_t keep = std::min(ranking.keep, ranked.size());
+    const std::size_t keep = std::min(ranking.keep, candidates.size());
+    std::vector<Scored> top(lanes * keep);  // lane l's at [l * keep, (l + 1) * keep)
+    std::vector<std::size_t> held(lanes, 0);
+    const auto offer = [&](std::size_t lane, std::size_t i) {
+      Scored* best = top.data() + lane * keep;
+      std::size_t& n = held[lane];
+      const double bound = n == keep ? best[keep - 1].score : cutoff;
+      const double score = scorer->candidate_objective(candidates[i].u, candidates[i].v,
+                                                       options.criticality, bound);
+      if (!(score < bound)) return;
+      // A lane's indices ascend, so a tie ranks after what it ties with.
+      std::size_t j = n < keep ? n++ : keep - 1;
+      for (; j > 0 && score < best[j - 1].score; --j) best[j] = best[j - 1];
+      best[j] = Scored{score, i};
+    };
+    scan(candidates.size(), kRankStopStride, "ldrg ranking scan", offer);
+    std::vector<Scored> ranked;
+    for (std::size_t lane = 0; lane < lanes; ++lane)
+      ranked.insert(ranked.end(), top.begin() + static_cast<std::ptrdiff_t>(lane * keep),
+                    top.begin() + static_cast<std::ptrdiff_t>(lane * keep + held[lane]));
+    const std::size_t kept = std::min(keep, ranked.size());
     std::partial_sort(ranked.begin(),
-                      ranked.begin() + static_cast<std::ptrdiff_t>(keep),
+                      ranked.begin() + static_cast<std::ptrdiff_t>(kept),
                       ranked.end(), ranks_before);
     std::vector<Move> shortlist;
-    shortlist.reserve(keep);
-    for (std::size_t k = 0; k < keep; ++k)
+    shortlist.reserve(kept);
+    for (std::size_t k = 0; k < kept; ++k)
       shortlist.push_back(candidates[ranked[k].index]);
     candidates = std::move(shortlist);
   }
@@ -235,7 +239,7 @@ std::optional<Pick> ldrg_round(const graph::RoutingGraph& g, double cost,
     double objective = 0.0;
   };
   std::vector<Verified> lane_best(lanes, Verified{none});
-  scan(candidates.size(), "ldrg candidate scan", [&](std::size_t lane, std::size_t k) {
+  const auto verify = [&](std::size_t lane, std::size_t k) {
     Verified& best = lane_best[lane];
     const Move& move = candidates[k];
     graph::RoutingGraph trial = g;
@@ -248,7 +252,8 @@ std::optional<Pick> ldrg_round(const graph::RoutingGraph& g, double cost,
                              ? (t - current) / added_cost(g, move, moves.widths)
                              : t;
     if (score < best.rank.score) best = Verified{Scored{score, k}, t};
-  });
+  };
+  scan(candidates.size(), kVerifyStopStride, "ldrg candidate scan", verify);
 
   // 4. Reduce by (score, index), independent of lane count and scheduling.
   Verified best{none};
@@ -294,6 +299,14 @@ NTR_HOT GreedyRun run_ldrg(const char* who, const graph::RoutingGraph& initial,
   if (!initial.is_connected()) throw_invalid("initial routing must be connected");
   if (!(options.min_relative_improvement >= 0.0))
     throw_invalid("min_relative_improvement must be non-negative");
+  if (!options.criticality.empty()) {
+    if (options.criticality.size() != initial.sinks().size())
+      throw_invalid("criticality must have one weight per sink");
+    // The bounded ranking stops a weighted sum at its bound, which is exact
+    // only while no term is negative.
+    for (const double w : options.criticality)
+      if (!(w >= 0.0)) throw_invalid("criticality weights must be non-negative");
+  }
   if (moves.widths && moves.widths->empty()) throw_invalid("widths must be non-empty");
 
   const auto cost_of = [&moves](const graph::RoutingGraph& g) {

@@ -40,7 +40,8 @@ struct LdrgOptions {
   double max_cost_ratio = std::numeric_limits<double>::infinity();
 
   /// CSORG objective weights (Section 5.1), indexed like graph.sinks();
-  /// empty selects the ORG objective max_i t(n_i).
+  /// empty selects the ORG objective max_i t(n_i). When given, there must
+  /// be one per sink, each non-negative (not NaN).
   std::vector<double> criticality;
 
   /// Candidate-scan thread count. Results are bit-identical for every
@@ -50,11 +51,11 @@ struct LdrgOptions {
   ParallelConfig parallel;
 
   /// Cooperative deadline/cancellation. Polled at every round boundary
-  /// and every 16 candidates inside each scan lane; when it trips, the
-  /// lanes drain cooperatively (the pool joins cleanly) and ldrg unwinds
-  /// with NtrError (kTimeout / kCancelled). An un-engaged token (the
-  /// default) is one hoisted bool test -- the scan and its result stay
-  /// bit-identical.
+  /// and inside each scan lane, every 64 ranked and every 16 verified
+  /// candidates; when it trips, the lanes drain cooperatively (the pool
+  /// joins cleanly) and ldrg unwinds with NtrError (kTimeout /
+  /// kCancelled). An un-engaged token (the default) is one hoisted bool
+  /// test -- the scan and its result stay bit-identical.
   runtime::StopToken stop{};
 };
 
@@ -87,8 +88,9 @@ struct LdrgResult {
 /// provably exceeds the best one so far (bounded_max_delay); such a
 /// candidate could never win, so no output changes. The same loop runs
 /// greedy_wire_sizing() and horg_greedy() with widening moves.
-/// Throws std::invalid_argument when `initial` is disconnected or
-/// min_relative_improvement is negative or NaN.
+/// Throws std::invalid_argument when `initial` is disconnected,
+/// min_relative_improvement is negative or NaN, or criticality is not one
+/// non-negative weight per sink.
 LdrgResult ldrg(const graph::RoutingGraph& initial,
                 const delay::DelayEvaluator& evaluator, const LdrgOptions& options = {});
 

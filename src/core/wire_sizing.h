@@ -29,7 +29,8 @@ struct WireSizingOptions {
   /// the initial area are never evaluated (infinity = unconstrained).
   double max_area_ratio = std::numeric_limits<double>::infinity();
 
-  /// CSORG weights, indexed like graph.sinks(); empty = minimize the max.
+  /// CSORG weights, indexed like graph.sinks(); empty = minimize the
+  /// max. When given, one non-negative (not NaN) weight per sink.
   std::vector<double> criticality;
 
   /// A widening must improve the objective by more than this fraction;

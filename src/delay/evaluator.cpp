@@ -38,6 +38,12 @@ class IncrementalElmoreScorer final : public CandidateScorer {
     return out;
   }
 
+  [[nodiscard]] double candidate_objective(graph::NodeId u, graph::NodeId v,
+                                           std::span<const double> criticality,
+                                           double bound) const override {
+    return engine_.candidate_objective(u, v, scale_, criticality, bound);
+  }
+
  private:
   IncrementalElmore engine_;
   double scale_;
@@ -45,10 +51,40 @@ class IncrementalElmoreScorer final : public CandidateScorer {
 
 }  // namespace
 
+double sink_objective(std::span<const double> sink_delays,
+                      std::span<const double> criticality) {
+  if (criticality.empty()) {
+    // Four running maxima: max is exact and order-free, so this is the
+    // serial maximum without its one long dependency chain.
+    double w0 = 0.0, w1 = 0.0, w2 = 0.0, w3 = 0.0;
+    const std::size_t n = sink_delays.size();
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      w0 = std::max(w0, sink_delays[i]);
+      w1 = std::max(w1, sink_delays[i + 1]);
+      w2 = std::max(w2, sink_delays[i + 2]);
+      w3 = std::max(w3, sink_delays[i + 3]);
+    }
+    for (; i < n; ++i) w0 = std::max(w0, sink_delays[i]);
+    return std::max(std::max(w0, w1), std::max(w2, w3));
+  }
+  if (criticality.size() != sink_delays.size())
+    throw std::invalid_argument("sink_objective: criticality size must match sink count");
+  double sum = 0.0;
+  for (std::size_t i = 0; i < sink_delays.size(); ++i)
+    sum += criticality[i] * sink_delays[i];
+  return sum;
+}
+
+double CandidateScorer::candidate_objective(graph::NodeId u, graph::NodeId v,
+                                            std::span<const double> criticality,
+                                            double bound) const {
+  (void)bound;
+  return sink_objective(candidate_sink_delays(u, v), criticality);
+}
+
 double DelayEvaluator::max_delay(const graph::RoutingGraph& g) const {
-  double worst = 0.0;
-  for (const double d : sink_delays(g)) worst = std::max(worst, d);
-  return worst;
+  return sink_objective(sink_delays(g), {});
 }
 
 double DelayEvaluator::weighted_delay(const graph::RoutingGraph& g,
@@ -57,9 +93,7 @@ double DelayEvaluator::weighted_delay(const graph::RoutingGraph& g,
   if (criticality.size() != delays.size())
     throw std::invalid_argument(
         "weighted_delay: criticality size must match sink count");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < delays.size(); ++i) sum += criticality[i] * delays[i];
-  return sum;
+  return sink_objective(delays, criticality);
 }
 
 std::vector<double> ElmoreTreeEvaluator::sink_delays(

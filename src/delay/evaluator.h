@@ -13,6 +13,14 @@
 
 namespace ntr::delay {
 
+/// The routing objective of per-sink delays ordered like g.sinks(): their
+/// max, t(G), when `criticality` is empty (ORG), else the weighted sum
+/// sum alpha_i * t(n_i), added up in sink order (CSORG, Section 5.1).
+/// Throws std::invalid_argument when a non-empty `criticality` does not
+/// have one weight per sink.
+[[nodiscard]] double sink_objective(std::span<const double> sink_delays,
+                                    std::span<const double> criticality);
+
 /// Fast what-if oracle for one routing revision: per-sink delays of the
 /// attached graph plus one candidate edge (u,v), without materializing the
 /// trial graph. Obtained from DelayEvaluator::make_candidate_scorer; valid
@@ -30,6 +38,17 @@ class CandidateScorer {
   /// times that; the tests hold them to 1e-11.
   [[nodiscard]] virtual std::vector<double> candidate_sink_delays(
       graph::NodeId u, graph::NodeId v) const = 0;
+
+  /// sink_objective(candidate_sink_delays(u, v), criticality) whenever
+  /// that is below `bound`, bit for bit; otherwise any value >= `bound`.
+  /// The weights must be non-negative: a weighted query may then stop
+  /// once its partial sum reaches the bound, because rounded partial sums
+  /// of non-negative terms never decrease. LDRG ranks with this, bounded
+  /// by the score a candidate must beat. The default computes the exact
+  /// objective from candidate_sink_delays.
+  [[nodiscard]] virtual double candidate_objective(graph::NodeId u, graph::NodeId v,
+                                                   std::span<const double> criticality,
+                                                   double bound) const;
 };
 
 /// Pluggable source-to-sink delay oracle over routing graphs. Every router
@@ -49,11 +68,12 @@ class DelayEvaluator {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// t(G) = max over sinks (the ORG objective).
+  /// t(G) = max over sinks (the ORG objective), via sink_objective.
   [[nodiscard]] double max_delay(const graph::RoutingGraph& g) const;
 
-  /// sum alpha_i * t(n_i) over sinks (the CSORG objective, Section 5.1).
-  /// `criticality` is indexed like g.sinks() and must match its size.
+  /// sum alpha_i * t(n_i) over sinks (the CSORG objective, Section 5.1),
+  /// via sink_objective. `criticality` is indexed like g.sinks() and must
+  /// match its size.
   [[nodiscard]] double weighted_delay(const graph::RoutingGraph& g,
                                       std::span<const double> criticality) const;
 

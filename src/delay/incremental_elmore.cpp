@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "delay/evaluator.h"
 #include "delay/moments.h"
 #include "geom/point.h"
 #include "linalg/sparse.h"
@@ -13,12 +14,8 @@ namespace ntr::delay {
 
 IncrementalElmore::IncrementalElmore(const graph::RoutingGraph& g,
                                      const spice::Technology& tech)
-    : tech_(tech) {
-  build(g);
-}
-
-void IncrementalElmore::build(const graph::RoutingGraph& g) {
-  const std::size_t n = g.node_count();
+    : g_(&g), tech_(tech), node_count_(g.node_count()) {
+  const std::size_t n = node_count_;
   const linalg::EnvelopeCholesky chol(grounded_conductance_csr(g, tech_));
   m1_ = chol.solve(grounded_capacitance(g, tech_));
 
@@ -33,37 +30,26 @@ void IncrementalElmore::build(const graph::RoutingGraph& g) {
   m1_by_slot_.resize(n);
   for (graph::NodeId i = 0; i < n; ++i) m1_by_slot_[slot_[i]] = m1_[i];
 
-  // Explicit transfer resistances: n in-place solves on the factor, in its
-  // elimination order, where entry i of a solve belongs to node order[i].
-  // This one setup is amortized over the O(n^2) candidate queries of one
-  // LDRG round.
+  // Explicit transfer resistances: the unit columns of G^{-1} on the
+  // factor, a block per pass, in its elimination order, where entry i of
+  // a column belongs to node order[i]. This one setup is amortized over the
+  // O(n^2) candidate queries of one LDRG round.
   const std::span<const std::size_t> order = chol.order();
   const auto node_at = [&](std::size_t i) { return order.empty() ? i : order[i]; };
   std::vector<std::size_t> row_slot(n);
   for (std::size_t i = 0; i < n; ++i) row_slot[i] = slot_[node_at(i)];
   transfer_.resize(n * n);
-  std::vector<double> x(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    std::fill(x.begin(), x.end(), 0.0);
-    x[k] = 1.0;
-    chol.solve_in_place(x);
-    double* column = transfer_.data() + node_at(k) * n;
-    for (std::size_t i = 0; i < n; ++i) column[row_slot[i]] = x[i];
+  constexpr std::size_t kWidth = linalg::EnvelopeCholesky::kUnitColumns;
+  std::vector<double> block(kWidth * n);
+  for (std::size_t k = 0; k < n; k += kWidth) {
+    const std::size_t count = std::min(kWidth, n - k);
+    chol.solve_unit_columns(k, count, block);
+    for (std::size_t j = 0; j < count; ++j) {
+      double* column = transfer_.data() + node_at(k + j) * n;
+      for (std::size_t i = 0; i < n; ++i) column[row_slot[i]] = block[kWidth * i + j];
+    }
   }
-
-  g_ = &g;
-  node_count_ = n;
-  edge_count_ = g.edge_count();
-  wirelength_ = g.total_wirelength();
-  ++rebuilds_;
 }
-
-bool IncrementalElmore::matches(const graph::RoutingGraph& g) const {
-  return g_ == &g && node_count_ == g.node_count() &&
-         edge_count_ == g.edge_count() && wirelength_ == g.total_wirelength();
-}
-
-void IncrementalElmore::refresh(const graph::RoutingGraph& g) { build(g); }
 
 bool IncrementalElmore::update_for(graph::NodeId u, graph::NodeId v,
                                    Update& up) const {
@@ -119,15 +105,48 @@ void IncrementalElmore::candidate_sink_delays(graph::NodeId u, graph::NodeId v,
   if (out.size() != sink_count_)
     throw std::invalid_argument("candidate_sink_delays: one entry per sink");
   Update up;
-  if (!update_for(u, v, up)) {
-    const std::vector<double> exact = candidate_delays_exact(u, v);
-    for (graph::NodeId i = 0; i < node_count_; ++i)
-      if (slot_[i] < sink_count_) out[slot_[i]] = scale * exact[i];
-    return;
-  }
+  if (!update_for(u, v, up)) return exact_sink_delays(u, v, scale, out);
   const double* m1 = m1_by_slot_.data();
   for (std::size_t k = 0; k < sink_count_; ++k)
     out[k] = scale * (m1[k] + up.wa * up.a[k] + up.wb * up.b[k]);
+}
+
+double IncrementalElmore::candidate_objective(graph::NodeId u, graph::NodeId v,
+                                              double scale,
+                                              std::span<const double> criticality,
+                                              double bound) const {
+  if (!criticality.empty() && criticality.size() != sink_count_)
+    throw std::invalid_argument("candidate_objective: one weight per sink");
+  Update up;
+  if (!update_for(u, v, up)) {
+    std::vector<double> exact(sink_count_);
+    exact_sink_delays(u, v, scale, exact);
+    return sink_objective(exact, criticality);
+  }
+  // Each sink by candidate_sink_delays' expression, so that a value below
+  // the bound is bit for bit the objective of its output.
+  const double* m1 = m1_by_slot_.data();
+  if (criticality.empty()) {
+    double worst = 0.0;
+    for (std::size_t k = 0; k < sink_count_; ++k) {
+      worst = std::max(worst, scale * (m1[k] + up.wa * up.a[k] + up.wb * up.b[k]));
+      if (worst >= bound) break;
+    }
+    return worst;
+  }
+  double sum = 0.0;
+  for (std::size_t k = 0; k < sink_count_; ++k) {
+    sum += criticality[k] * (scale * (m1[k] + up.wa * up.a[k] + up.wb * up.b[k]));
+    if (sum >= bound) break;
+  }
+  return sum;
+}
+
+void IncrementalElmore::exact_sink_delays(graph::NodeId u, graph::NodeId v,
+                                          double scale, std::span<double> out) const {
+  const std::vector<double> exact = candidate_delays_exact(u, v);
+  for (graph::NodeId i = 0; i < node_count_; ++i)
+    if (slot_[i] < sink_count_) out[slot_[i]] = scale * exact[i];
 }
 
 std::vector<double> IncrementalElmore::candidate_delays_exact(
@@ -153,16 +172,9 @@ std::vector<double> IncrementalElmore::candidate_delays_exact(
   return linalg::EnvelopeCholesky(linalg::CsrMatrix(builder)).solve(cap);
 }
 
-double IncrementalElmore::base_max_delay() const {
-  double worst = 0.0;
-  for (std::size_t k = 0; k < sink_count_; ++k) worst = std::max(worst, m1_by_slot_[k]);
-  return worst;
-}
-
 IncrementalElmoreStats IncrementalElmore::stats() const {
   IncrementalElmoreStats s;
   s.exact_fallbacks = exact_fallbacks_.load(std::memory_order_relaxed);
-  s.rebuilds = rebuilds_;
   return s;
 }
 

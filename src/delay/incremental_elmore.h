@@ -12,12 +12,10 @@ namespace ntr::delay {
 
 /// Counters describing how an IncrementalElmore cache served its queries.
 /// `exact_fallbacks` are full re-solves forced by an ill-conditioned
-/// update; `rebuilds` counts cache (re)constructions, one per attached
-/// graph revision. Every other query is an O(n) Sherman-Morrison answer
-/// off the cached transfer resistances.
+/// update. Every other query is an O(n) Sherman-Morrison answer off the
+/// cached transfer resistances.
 struct IncrementalElmoreStats {
   std::size_t exact_fallbacks = 0;
-  std::size_t rebuilds = 0;
 };
 
 /// Incremental graph-Elmore engine for LDRG's inner question: "what are
@@ -32,42 +30,32 @@ struct IncrementalElmoreStats {
 /// downstream capacitance" Elmore sum -- so this cache is the general-
 /// graph form of the per-node subtree-capacitance / source-path-resistance
 /// tables a tree-Elmore engine would keep. R is built from one RCM
-/// envelope factor G = L D L^T (linalg/sparse_cholesky.h) by n in-place
-/// solves, and each of its columns is stored contiguously with the sinks
-/// first, in g.sinks() order.
+/// envelope factor G = L D L^T (linalg/sparse_cholesky.h) by blocked
+/// unit-column solves, and each of its columns is stored contiguously
+/// with the sinks first, in g.sinks() order.
 ///
 /// A candidate wire (u,v) is a rank-1 conductance update
 /// G' = G + g_e w w^T (w = e_u - e_v) plus two capacitance entries, so by
 /// Sherman-Morrison the updated moments need only columns u and v of R:
 /// an O(1) coefficient (y^T C = m1_u - m1_v because R is symmetric) and
 /// one contiguous pass over the nodes -- over just the sinks for
-/// candidate_sink_delays. When the update is too ill-conditioned for the
+/// candidate_sink_delays, and only until the bound for
+/// candidate_objective. When the update is too ill-conditioned for the
 /// delta to be trustworthy (degenerate zero-length shorts driving
 /// g_e * w^T R w beyond kDeltaConditionLimit), the engine transparently
 /// falls back to an exact solve of the trial graph.
 ///
-/// Cache invalidation: the cache is valid for exactly one graph revision.
-/// Inserting an edge (or node) into the routing invalidates it; call
-/// refresh() with the mutated graph before scoring further candidates.
-/// matches() tests the structural signature (node count, edge count, total
-/// wirelength) that every LDRG mutation changes.
+/// The cache answers for the graph it was built from, which must outlive
+/// it unchanged; LDRG builds one per round.
 ///
 /// Thread safety: the queries are const and safe to call from many
-/// threads concurrently (the fallback counter is atomic); build/refresh
-/// must be externally serialized, as with any mutation.
+/// threads concurrently (the fallback counter is atomic).
 class IncrementalElmore {
  public:
   /// Builds the cache: one envelope factorization and n solves, O(n^2)
   /// on a routing tree's RCM envelope. Throws std::invalid_argument if g
   /// is not connected.
   IncrementalElmore(const graph::RoutingGraph& g, const spice::Technology& tech);
-
-  /// True when the cache was built against a graph with this structural
-  /// signature (node count, edge count, total wirelength).
-  [[nodiscard]] bool matches(const graph::RoutingGraph& g) const;
-
-  /// Rebuilds the cache against `g` after a mutation; counts a rebuild.
-  void refresh(const graph::RoutingGraph& g);
 
   /// Per-node Elmore delays of the attached graph + edge (u,v); O(n) on
   /// the delta path. (u,v) must be distinct in-range nodes; querying an
@@ -81,6 +69,17 @@ class IncrementalElmore {
   void candidate_sink_delays(graph::NodeId u, graph::NodeId v, double scale,
                              std::span<double> out) const;
 
+  /// CandidateScorer::candidate_objective over candidate_sink_delays(u, v,
+  /// scale): one pass over the sinks, each computed by that function's own
+  /// expression, that returns as soon as the running max (or, with
+  /// non-negative weights, the running sum in g.sinks() order) reaches
+  /// `bound`. Allocates nothing on the delta path; the exact fallback
+  /// returns the exact objective.
+  [[nodiscard]] double candidate_objective(graph::NodeId u, graph::NodeId v,
+                                           double scale,
+                                           std::span<const double> criticality,
+                                           double bound) const;
+
   /// The same computation via a full assemble-and-solve of the trial
   /// graph, bypassing the cache. Exposed so tests (and the fallback path)
   /// can compare delta against ground truth.
@@ -89,12 +88,11 @@ class IncrementalElmore {
 
   /// Base (no added edge) per-node Elmore delays of the attached graph.
   [[nodiscard]] const std::vector<double>& base_delays() const { return m1_; }
-  [[nodiscard]] double base_max_delay() const;
 
   /// Number of sinks of the attached graph.
   [[nodiscard]] std::size_t sink_count() const { return sink_count_; }
 
-  /// Snapshot of the counters (monotone across refresh()).
+  /// Snapshot of the counters.
   [[nodiscard]] IncrementalElmoreStats stats() const;
 
   /// Delta updates whose g_e * w^T G^{-1} w exceed this are answered by
@@ -113,9 +111,11 @@ class IncrementalElmore {
     double wb = 0.0;
   };
 
-  void build(const graph::RoutingGraph& g);
   /// False (and counts a fallback) when the update is too ill-conditioned.
   bool update_for(graph::NodeId u, graph::NodeId v, Update& up) const;
+  /// candidate_sink_delays by the exact path.
+  void exact_sink_delays(graph::NodeId u, graph::NodeId v, double scale,
+                         std::span<double> out) const;
 
   const graph::RoutingGraph* g_ = nullptr;
   spice::Technology tech_;
@@ -125,11 +125,8 @@ class IncrementalElmore {
   std::vector<double> m1_;             ///< base moments R C, by node
   std::vector<double> m1_by_slot_;     ///< the same, by slot
   std::size_t node_count_ = 0;
-  std::size_t edge_count_ = 0;
-  double wirelength_ = 0.0;
 
   mutable std::atomic<std::size_t> exact_fallbacks_{0};
-  std::size_t rebuilds_ = 0;
 };
 
 }  // namespace ntr::delay

@@ -208,6 +208,78 @@ void EnvelopeCholesky::substitute(std::span<double> x, const CsrMatrix* m,
   }
 }
 
+void EnvelopeCholesky::solve_unit_columns(std::size_t first, std::size_t count,
+                                          std::span<double> x) const {
+  static_assert(kUnitColumns == 4, "the sweeps below carry four lanes");
+  const Envelope& env = *envelope_;
+  const std::size_t n = env.size();
+  if (count > kUnitColumns || first > n || count > n - first ||
+      x.size() != kUnitColumns * n)
+    throw std::invalid_argument("EnvelopeCholesky::solve_unit_columns: size");
+  // substitute() on e_{first + j} in lane j, with its terms in its order
+  // and its register carries. The forward terms it has left of column
+  // `first` multiply +0 and leave a running sum of +0 or 1 as it is, so
+  // the sweep starts at row `first`; every row above stays +0.
+  const auto unit = [&](std::size_t i, std::size_t j) {
+    return j < count && i == first + j ? 1.0 : 0.0;
+  };
+  std::fill(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(kUnitColumns * first), 0.0);
+  double last0 = 0.0, last1 = 0.0, last2 = 0.0, last3 = 0.0;
+  for (std::size_t i = first; i < n; ++i) {
+    double s0 = unit(i, 0), s1 = unit(i, 1), s2 = unit(i, 2), s3 = unit(i, 3);
+    const double* li = values_.data() + row_base(i);
+    if (env.first_col[i] < i) {
+      for (std::size_t k = std::max(env.first_col[i], first); k + 1 < i; ++k) {
+        const double l = li[k];
+        const double* xk = x.data() + kUnitColumns * k;
+        s0 -= l * xk[0];
+        s1 -= l * xk[1];
+        s2 -= l * xk[2];
+        s3 -= l * xk[3];
+      }
+      const double l = li[i - 1];
+      s0 -= l * last0;
+      s1 -= l * last1;
+      s2 -= l * last2;
+      s3 -= l * last3;
+    }
+    double* xi = x.data() + kUnitColumns * i;
+    xi[0] = last0 = s0;
+    xi[1] = last1 = s1;
+    xi[2] = last2 = s2;
+    xi[3] = last3 = s3;
+  }
+  for (std::size_t i = first; i < n; ++i)  // D z = y
+    for (std::size_t j = 0; j < kUnitColumns; ++j) x[kUnitColumns * i + j] *= inv_pivot_[i];
+  double carry0 = 0.0, carry1 = 0.0, carry2 = 0.0, carry3 = 0.0;
+  for (std::size_t i = n; i-- > 0;) {
+    const double* li = values_.data() + row_base(i);
+    double* xi = x.data() + kUnitColumns * i;
+    const double y0 = xi[0] - carry0, y1 = xi[1] - carry1;
+    const double y2 = xi[2] - carry2, y3 = xi[3] - carry3;
+    xi[0] = y0;
+    xi[1] = y1;
+    xi[2] = y2;
+    xi[3] = y3;
+    carry0 = carry1 = carry2 = carry3 = 0.0;
+    if (env.first_col[i] < i) {
+      for (std::size_t k = env.first_col[i]; k + 1 < i; ++k) {
+        const double l = li[k];
+        double* xk = x.data() + kUnitColumns * k;
+        xk[0] -= l * y0;
+        xk[1] -= l * y1;
+        xk[2] -= l * y2;
+        xk[3] -= l * y3;
+      }
+      const double l = li[i - 1];
+      carry0 = l * y0;
+      carry1 = l * y1;
+      carry2 = l * y2;
+      carry3 = l * y3;
+    }
+  }
+}
+
 Vector EnvelopeCholesky::solve(std::span<const double> b) const {
   const std::size_t n = size();
   if (b.size() != n) throw std::invalid_argument("EnvelopeCholesky::solve: size");

@@ -74,6 +74,20 @@ class EnvelopeCholesky {
   /// order like the overload above.
   void solve_in_place(std::span<double> x) const;
 
+  /// How many unit columns one solve_unit_columns call computes.
+  static constexpr std::size_t kUnitColumns = 4;
+
+  /// Columns first, ..., first + count - 1 of A^{-1} (count <=
+  /// kUnitColumns), interleaved: entry i of column first + j lands at
+  /// x[kUnitColumns * i + j] of the kUnitColumns * size() entries of x,
+  /// and the lanes past `count` come out +0. Elimination order like
+  /// solve_in_place, and no allocation. Column j is bit for bit
+  /// solve_in_place of the unit vector e_{first + j}: that solve's forward
+  /// sweep leaves the rows above `first` at +0, so this one starts there,
+  /// and the columns share each pass over the factor.
+  void solve_unit_columns(std::size_t first, std::size_t count,
+                          std::span<double> x) const;
+
   /// The elimination order, order()[new] = old; empty for a factor kept
   /// in its natural order.
   [[nodiscard]] std::span<const std::size_t> order() const { return perm_; }

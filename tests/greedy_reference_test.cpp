@@ -359,6 +359,74 @@ TEST(GreedyContract, RejectsNegativeOrNanMinRelativeImprovement) {
   EXPECT_NO_THROW(horg_greedy(mst, eval, horg));
 }
 
+/// `run` with the weights given must throw std::invalid_argument naming
+/// `who` for a weight vector one short, one long, with a negative weight
+/// or with a NaN, and must accept weights of zero.
+template <class Run>
+void expect_rejects_bad_criticality(const char* who, std::size_t sinks, const Run& run) {
+  const std::vector<double> good(sinks, 0.5);
+  std::vector<std::pair<std::string, std::vector<double>>> bad;
+  bad.emplace_back("one short", std::vector<double>(good.begin(), good.end() - 1));
+  bad.emplace_back("one long", good);
+  bad.back().second.push_back(0.5);
+  bad.emplace_back("negative", good);
+  bad.back().second[1] = -1e-300;
+  bad.emplace_back("NaN", good);
+  bad.back().second[2] = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [label, weights] : bad) {
+    try {
+      run(weights);
+      ADD_FAILURE() << who << " accepted criticality " << label;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(std::string(who) + ":", 0), 0u)
+          << label << ": " << e.what();
+    }
+  }
+  std::vector<double> zeros = good;
+  zeros[0] = 0.0;
+  EXPECT_NO_THROW(run(zeros)) << who;
+}
+
+class CriticalityContract : public ::testing::Test {
+ protected:
+  const delay::GraphElmoreEvaluator eval{kTech};
+  const graph::RoutingGraph mst = graph::mst_routing(expt::NetGenerator(8).random_net(8));
+  const std::size_t sinks = mst.sinks().size();
+};
+
+TEST_F(CriticalityContract, LdrgRejectsBadWeights) {
+  expect_rejects_bad_criticality("ldrg", sinks, [&](const std::vector<double>& w) {
+    LdrgOptions opts;
+    opts.criticality = w;
+    (void)ldrg(mst, eval, opts);
+  });
+}
+
+TEST_F(CriticalityContract, LdrgScreenedRejectsBadWeights) {
+  expect_rejects_bad_criticality("ldrg_screened", sinks, [&](const std::vector<double>& w) {
+    ScreenedLdrgOptions opts;
+    opts.base.criticality = w;
+    (void)ldrg_screened(mst, eval, kTech, opts);
+  });
+}
+
+TEST_F(CriticalityContract, WireSizingRejectsBadWeights) {
+  expect_rejects_bad_criticality("greedy_wire_sizing", sinks,
+                                 [&](const std::vector<double>& w) {
+                                   WireSizingOptions opts;
+                                   opts.criticality = w;
+                                   (void)greedy_wire_sizing(mst, eval, opts);
+                                 });
+}
+
+TEST_F(CriticalityContract, HorgRejectsBadWeights) {
+  expect_rejects_bad_criticality("horg_greedy", sinks, [&](const std::vector<double>& w) {
+    HorgOptions opts;
+    opts.criticality = w;
+    (void)horg_greedy(mst, eval, opts);
+  });
+}
+
 TEST(GreedyContract, AreaStaysWithinMaxAreaRatio) {
   const delay::GraphElmoreEvaluator eval(kTech);
   expt::NetGenerator gen(13);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -9,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/ldrg.h"
 #include "delay/evaluator.h"
 #include "delay/incremental_elmore.h"
 #include "delay/moments.h"
@@ -65,7 +69,6 @@ TEST(IncrementalElmore, DeltaMatchesFullRecomputeOn200RandomNets) {
       g.add_edge(0, g.node_count() - 1);
 
     const IncrementalElmore engine(g, kTech);
-    ASSERT_TRUE(engine.matches(g));
 
     // A random absent pair.
     graph::NodeId u = 0, v = 0;
@@ -92,60 +95,16 @@ TEST(IncrementalElmore, ExactPathAgreesWithDeltaPath) {
   expect_delays_close(delta, exact, max_abs(exact), "exact-vs-delta");
 }
 
-TEST(IncrementalElmore, CacheInvalidationAfterEdgeInsertion) {
-  expt::NetGenerator gen(33);
-  graph::RoutingGraph g = graph::mst_routing(gen.random_net(10));
-  IncrementalElmore engine(g, kTech);
-  ASSERT_TRUE(engine.matches(g));
-
-  // Mutate the routing: the old cache must report a stale signature, and
-  // refresh() must bring the delta path back into 1e-12 agreement.
-  graph::NodeId u = 0, v = 0;
-  for (u = 0; u < g.node_count() && v == 0; ++u)
-    for (graph::NodeId w = u + 1; w < g.node_count(); ++w)
-      if (!g.has_edge(u, w)) {
-        v = w;
-        break;
-      }
-  --u;
-  g.add_edge(u, v);
-  EXPECT_FALSE(engine.matches(g));
-
-  engine.refresh(g);
-  EXPECT_TRUE(engine.matches(g));
-  const std::vector<double> base = engine.base_delays();
-  const std::vector<double> full = graph_elmore_delays(g, kTech);
-  expect_delays_close(base, full, max_abs(full), "post-refresh base");
-
-  graph::NodeId a = 0, b = 0;
-  std::mt19937_64 rng(5);
-  do {
-    a = static_cast<graph::NodeId>(rng() % g.node_count());
-    b = static_cast<graph::NodeId>(rng() % g.node_count());
-  } while (a == b || g.has_edge(a, b));
-  graph::RoutingGraph trial = g;
-  trial.add_edge(a, b);
-  expect_delays_close(engine.candidate_delays(a, b),
-                      graph_elmore_delays(trial, kTech),
-                      max_abs(engine.base_delays()), "post-refresh delta");
-  EXPECT_EQ(engine.stats().rebuilds, 2u);
-}
-
 TEST(IncrementalElmore, StatsCountQueries) {
   expt::NetGenerator gen(11);
-  graph::RoutingGraph g = graph::mst_routing(gen.random_net(8));
-  IncrementalElmore engine(g, kTech);
-  EXPECT_EQ(engine.stats().rebuilds, 1u);
-  // Well-conditioned wires stay on the delta path; only a refresh counts.
+  const graph::RoutingGraph g = graph::mst_routing(gen.random_net(8));
+  const IncrementalElmore engine(g, kTech);
+  // Well-conditioned wires stay on the delta path on every query.
   (void)engine.candidate_delays(0, 3);
   std::vector<double> sinks(engine.sink_count());
   engine.candidate_sink_delays(1, 4, 1.0, sinks);
+  (void)engine.candidate_objective(2, 5, 1.0, {}, 0.0);
   EXPECT_EQ(engine.stats().exact_fallbacks, 0u);
-  g.add_edge(0, 3);
-  engine.refresh(g);
-  const IncrementalElmoreStats s = engine.stats();
-  EXPECT_EQ(s.exact_fallbacks, 0u);
-  EXPECT_EQ(s.rebuilds, 2u);
 }
 
 TEST(IncrementalElmore, RejectsDisconnectedGraphs) {
@@ -266,6 +225,113 @@ TEST(ScorerContract, DoubledWireMatchesDoubleWidthWire) {
     for (std::size_t k = 0; k < got.size(); ++k)
       ASSERT_NEAR(got[k], want[k], kTol * max_abs(want)) << "edge " << e;
   }
+}
+
+// ---- The bounded objective query ----
+
+/// Criticality weights for g's sinks, every third one zero.
+std::vector<double> weights_with_zeros(const graph::RoutingGraph& g, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> weight(0.1, 1.0);
+  std::vector<double> w(g.sinks().size());
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] = i % 3 == 1 ? 0.0 : weight(rng);
+  return w;
+}
+
+/// candidate_objective on every pair, for ORG and for CSORG with zero
+/// weights, under the bounds +inf, 0, the exact objective and both its
+/// neighbours: bit for bit sink_objective(candidate_sink_delays(u, v))
+/// when that is below the bound, and at least the bound otherwise.
+void expect_bounded_objective_contract(const DelayEvaluator& eval,
+                                       const graph::RoutingGraph& g, const Pairs& pairs,
+                                       const std::string& context) {
+  const std::unique_ptr<CandidateScorer> scorer = eval.make_candidate_scorer(g);
+  ASSERT_NE(scorer, nullptr) << context;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& criticality :
+       {std::vector<double>{}, weights_with_zeros(g, pairs.size())}) {
+    for (const auto& [u, v] : pairs) {
+      const double exact =
+          sink_objective(scorer->candidate_sink_delays(u, v), criticality);
+      for (const double bound : {kInf, 0.0, exact, std::nextafter(exact, -kInf),
+                                 std::nextafter(exact, kInf)}) {
+        const double got = scorer->candidate_objective(u, v, criticality, bound);
+        const std::string where = context + (criticality.empty() ? " ORG" : " CSORG") +
+                                  " pair (" + std::to_string(u) + "," +
+                                  std::to_string(v) + ") bound " + std::to_string(bound);
+        if (exact < bound)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(exact))
+              << where;
+        else
+          ASSERT_GE(got, bound) << where;
+      }
+    }
+  }
+}
+
+class BoundedObjectiveTest : public ::testing::TestWithParam<std::size_t> {};
+
+// MSTs and the LDRG routings grown from them, for both graph-Elmore
+// evaluators.
+TEST_P(BoundedObjectiveTest, MatchesSinkObjectiveBelowTheBound) {
+  const std::size_t pins = GetParam();
+  expt::NetGenerator gen(900 + pins);
+  const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(pins));
+  const GraphElmoreEvaluator graph_elmore(kTech);
+  const ScaledElmoreEvaluator scaled(kTech);
+  core::LdrgOptions grow;
+  grow.max_added_edges = 3;
+  const graph::RoutingGraph grown = core::ldrg(mst, graph_elmore, grow).graph;
+  ASSERT_GT(grown.edge_count(), mst.edge_count());
+  for (const DelayEvaluator* eval :
+       {static_cast<const DelayEvaluator*>(&graph_elmore),
+        static_cast<const DelayEvaluator*>(&scaled)}) {
+    expect_bounded_objective_contract(*eval, mst, absent_pairs(mst, 400, 6),
+                                      eval->name() + " MST");
+    expect_bounded_objective_contract(*eval, grown, absent_pairs(grown, 400, 7),
+                                      eval->name() + " LDRG");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Pins, BoundedObjectiveTest,
+                         ::testing::Values<std::size_t>(5, 12, 40, 60, 150));
+
+// Micron-length Steiner edges: the ill-conditioned systems of a SERT.
+TEST(BoundedObjective, SertTreeWithMicronLengthEdges) {
+  expt::NetGenerator gen(122);
+  route::ErtOptions opts;
+  opts.steiner = true;
+  const graph::RoutingGraph sert =
+      route::elmore_routing_tree(gen.random_net(60), kTech, opts).graph;
+  expect_bounded_objective_contract(GraphElmoreEvaluator(kTech), sert,
+                                    absent_pairs(sert, 600, 8), "SERT elmore-graph");
+  expect_bounded_objective_contract(ScaledElmoreEvaluator(kTech), sert,
+                                    absent_pairs(sert, 600, 9), "SERT elmore-ln2");
+}
+
+// Sinks a and b sit at one point, 4 mm of resistive wire apart: the
+// zero-length short between them is past kDeltaConditionLimit, so the
+// query takes the exact path and still keeps the contract.
+TEST(BoundedObjective, ZeroLengthShortTakesTheExactFallback) {
+  spice::Technology tech = kTech;
+  tech.wire_resistance_ohm_per_um = 1e3;
+  graph::RoutingGraph g;
+  const graph::NodeId src = g.add_node({0, 0}, graph::NodeKind::kSource);
+  const graph::NodeId a = g.add_node({1000, 0}, graph::NodeKind::kSink);
+  const graph::NodeId c = g.add_node({0, 1000}, graph::NodeKind::kSink);
+  const graph::NodeId b = g.add_node({1000, 0}, graph::NodeKind::kSink);
+  const graph::NodeId d = g.add_node({500, 500}, graph::NodeKind::kSink);
+  g.add_edge(src, a);
+  g.add_edge(src, c);
+  g.add_edge(c, b);
+  g.add_edge(a, d);
+  const IncrementalElmore engine(g, tech);
+  (void)engine.candidate_objective(a, b, 1.0, {}, 0.0);
+  EXPECT_EQ(engine.stats().exact_fallbacks, 1u);
+  const Pairs pairs = absent_pairs(g, 100, 10);
+  ASSERT_NE(std::find(pairs.begin(), pairs.end(), std::pair{a, b}), pairs.end());
+  expect_bounded_objective_contract(GraphElmoreEvaluator(tech), g, pairs, "short elmore-graph");
+  expect_bounded_objective_contract(ScaledElmoreEvaluator(tech), g, pairs, "short elmore-ln2");
 }
 
 // LDRG's lanes share one scorer: four threads querying it at once must

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/ldrg.h"
@@ -61,6 +65,107 @@ class UnboundedEvaluator final : public delay::DelayEvaluator {
  private:
   const delay::DelayEvaluator& inner_;
 };
+
+/// Overrides only candidate_sink_delays, as a tracing probe does, so the
+/// ranking takes CandidateScorer's default candidate_objective: the full
+/// vector, then sink_objective, whatever the bound.
+class VectorOnlyScorer final : public delay::CandidateScorer {
+ public:
+  explicit VectorOnlyScorer(std::unique_ptr<delay::CandidateScorer> inner)
+      : inner_(std::move(inner)) {}
+  [[nodiscard]] std::vector<double> candidate_sink_delays(
+      graph::NodeId u, graph::NodeId v) const override {
+    return inner_->candidate_sink_delays(u, v);
+  }
+
+ private:
+  std::unique_ptr<delay::CandidateScorer> inner_;
+};
+
+/// Forwards everything, with the inner evaluator's scorer behind a
+/// VectorOnlyScorer.
+class VectorOnlyEvaluator final : public delay::DelayEvaluator {
+ public:
+  explicit VectorOnlyEvaluator(const delay::DelayEvaluator& inner) : inner_(inner) {}
+  [[nodiscard]] std::vector<double> sink_delays(
+      const graph::RoutingGraph& g) const override {
+    return inner_.sink_delays(g);
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] std::unique_ptr<delay::CandidateScorer> make_candidate_scorer(
+      const graph::RoutingGraph& g) const override {
+    return std::make_unique<VectorOnlyScorer>(inner_.make_candidate_scorer(g));
+  }
+  [[nodiscard]] double bounded_max_delay(const graph::RoutingGraph& g,
+                                         double give_up_s) const override {
+    return inner_.bounded_max_delay(g, give_up_s);
+  }
+
+ private:
+  const delay::DelayEvaluator& inner_;
+};
+
+/// Criticality weights for g's sinks, every fourth one zero.
+std::vector<double> weights_with_zeros(const graph::RoutingGraph& g, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> weight(0.1, 1.0);
+  std::vector<double> w(g.sinks().size());
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] = i % 4 == 2 ? 0.0 : weight(rng);
+  return w;
+}
+
+/// ldrg_screened as a full score array ranks it: every absent pair scored
+/// through a VectorOnlyScorer on the graph-Elmore screen, the best `keep`
+/// by (score, enumeration index) verified by `eval`, the lowest verified
+/// objective below the acceptance threshold taken, first on ties.
+core::LdrgResult reference_screened(const graph::RoutingGraph& initial,
+                                    const delay::DelayEvaluator& eval, std::size_t keep,
+                                    const std::vector<double>& criticality) {
+  const delay::GraphElmoreEvaluator screen(kTech);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  core::LdrgResult result;
+  result.graph = initial;
+  result.initial_objective = eval.objective(initial, criticality);
+  result.final_objective = result.initial_objective;
+  result.initial_cost = initial.total_wirelength();
+  result.final_cost = result.initial_cost;
+  while (true) {
+    const graph::RoutingGraph& g = result.graph;
+    const double current = result.final_objective;
+    const double accept_below = current * (1.0 - core::LdrgOptions{}.min_relative_improvement);
+    const VectorOnlyScorer scorer(screen.make_candidate_scorer(g));
+    struct Ranked {
+      double score;
+      graph::NodeId u, v;
+    };
+    std::vector<Ranked> ranked;
+    for (graph::NodeId u = 0; u < g.node_count(); ++u)
+      for (graph::NodeId v = u + 1; v < g.node_count(); ++v)
+        if (!g.has_edge(u, v))
+          ranked.push_back({scorer.candidate_objective(u, v, criticality, kInf), u, v});
+    std::erase_if(ranked, [&](const Ranked& r) { return !(r.score < kInf); });
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [](const Ranked& a, const Ranked& b) { return a.score < b.score; });
+    ranked.resize(std::min(keep, ranked.size()));
+    double best = accept_below;
+    const Ranked* pick = nullptr;
+    for (const Ranked& r : ranked) {
+      graph::RoutingGraph trial = g;
+      trial.add_edge(r.u, r.v);
+      const double t = eval.objective(trial, criticality);
+      if (t < best) {
+        best = t;
+        pick = &r;
+      }
+    }
+    if (pick == nullptr) break;
+    result.graph.add_edge(pick->u, pick->v);
+    result.final_objective = best;
+    result.final_cost = result.graph.total_wirelength();
+    result.steps.push_back({pick->u, pick->v, current, best, result.final_cost});
+  }
+  return result;
+}
 
 core::LdrgResult run_ldrg(const graph::RoutingGraph& initial,
                           const delay::DelayEvaluator& eval, std::size_t threads,
@@ -145,6 +250,60 @@ TEST(LdrgParallel, ScreenedVariantBitIdenticalAcrossThreadCounts) {
     par.base.parallel.num_threads = threads;
     expect_identical(core::ldrg_screened(mst, eval, kTech, par), serial,
                      "threads " + std::to_string(threads));
+  }
+}
+
+// The engine's bounded query and a lane-local top K against a scorer
+// that only yields whole vectors, scored in full: same routing, bit for
+// bit, at every lane count, for ORG and CSORG with zero weights.
+TEST(LdrgParallel, BoundedRankingRoutesLikeTheVectorOnlyScorer) {
+  const delay::GraphElmoreEvaluator graph_elmore(kTech);
+  const delay::ScaledElmoreEvaluator scaled(kTech);
+  for (const std::size_t pins : {60u, 100u, 150u}) {
+    expt::NetGenerator gen(40 + pins);
+    const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(pins));
+    const delay::DelayEvaluator& eval =
+        pins == 100 ? static_cast<const delay::DelayEvaluator&>(scaled) : graph_elmore;
+    for (const bool weighted : {false, true}) {
+      core::LdrgOptions opts;
+      if (weighted) opts.criticality = weights_with_zeros(mst, pins);
+      const core::LdrgResult want = core::ldrg(mst, VectorOnlyEvaluator(eval), opts);
+      EXPECT_TRUE(want.improved());
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        opts.parallel.num_threads = threads;
+        expect_identical(core::ldrg(mst, eval, opts), want,
+                         eval.name() + " " + std::to_string(pins) + " pins" +
+                             (weighted ? " CSORG" : " ORG") + " threads " +
+                             std::to_string(threads));
+      }
+    }
+  }
+}
+
+// ldrg_screened's lane-local top K against the full score array of the
+// vector-only scorer, verified by D2M: K = 1, 3 and 4.
+TEST(LdrgParallel, ScreenedTopKMatchesTheFullScoreArray) {
+  const delay::TwoPoleEvaluator d2m(kTech);
+  for (const std::size_t pins : {60u, 150u}) {
+    expt::NetGenerator gen(70 + pins);
+    const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(pins));
+    for (const std::size_t keep : {1u, 3u, 4u}) {
+      for (const bool weighted : {false, true}) {
+        core::ScreenedLdrgOptions opts;
+        opts.verify_top_k = keep;
+        if (weighted) opts.base.criticality = weights_with_zeros(mst, keep);
+        const core::LdrgResult want =
+            reference_screened(mst, d2m, keep, opts.base.criticality);
+        EXPECT_TRUE(want.improved());
+        for (const std::size_t threads : {1u, 2u, 8u}) {
+          opts.base.parallel.num_threads = threads;
+          expect_identical(core::ldrg_screened(mst, d2m, kTech, opts), want,
+                           std::to_string(pins) + " pins K " + std::to_string(keep) +
+                               (weighted ? " CSORG" : " ORG") + " threads " +
+                               std::to_string(threads));
+        }
+      }
+    }
   }
 }
 

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "delay/moments.h"
 #include "expt/net_generator.h"
@@ -200,6 +206,61 @@ TEST(EnvelopeCholesky, SharedEnvelopeFactorsEveryMatrixOnThePattern) {
     return d;
   }()));
   EXPECT_THROW(EnvelopeCholesky(diagonal, far), std::invalid_argument);
+}
+
+// Every column of the blocked unit solve is solve_in_place of that unit
+// vector, bit for bit, and its unused lanes are +0: trees (grounded MST
+// conductances) and non-trees (Laplacians with chords), with and without
+// RCM, for blocks of zero to four columns at every offset.
+TEST(EnvelopeCholesky, UnitColumnsMatchSingleSolvesBitForBit) {
+  constexpr std::size_t kLanes = EnvelopeCholesky::kUnitColumns;
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 37u, 200u}) {
+    std::vector<std::pair<std::string, CsrMatrix>> systems;
+    systems.emplace_back("non-tree", random_laplacian(n, 31 + static_cast<unsigned>(n)));
+    if (n >= 2) {
+      expt::NetGenerator gen(n);
+      systems.emplace_back("tree", delay::grounded_conductance_csr(
+                                       graph::mst_routing(gen.random_net(n)),
+                                       spice::kTable1Technology));
+    }
+    for (const auto& [kind, a] : systems) {
+      for (const bool reorder : {false, true}) {
+        const EnvelopeCholesky chol(a, reorder);
+        const std::string context =
+            kind + " n " + std::to_string(n) + (reorder ? " RCM" : " natural");
+        std::vector<double> want(n * n, 0.0);  // column k at want[k * n]
+        for (std::size_t k = 0; k < n; ++k) {
+          want[k * n + k] = 1.0;
+          chol.solve_in_place(std::span(want).subspan(k * n, n));
+        }
+        std::vector<double> block(kLanes * n);
+        for (std::size_t first = 0; first <= n; ++first) {
+          for (std::size_t count = 0; count <= kLanes && first + count <= n; ++count) {
+            std::fill(block.begin(), block.end(), -1.0);
+            chol.solve_unit_columns(first, count, block);
+            for (std::size_t i = 0; i < n; ++i)
+              for (std::size_t j = 0; j < kLanes; ++j)
+                ASSERT_EQ(bits(block[kLanes * i + j]),
+                          j < count ? bits(want[(first + j) * n + i]) : 0u)
+                    << context << " first " << first << " count " << count << " row "
+                    << i << " lane " << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(EnvelopeCholesky, UnitColumnsRejectBadShapes) {
+  const EnvelopeCholesky chol(random_laplacian(5, 3));
+  std::vector<double> x(EnvelopeCholesky::kUnitColumns * 5);
+  EXPECT_THROW(chol.solve_unit_columns(3, 3, x), std::invalid_argument);  // past the end
+  EXPECT_THROW(chol.solve_unit_columns(6, 0, x), std::invalid_argument);
+  EXPECT_THROW(chol.solve_unit_columns(0, 5, x), std::invalid_argument);  // too many
+  EXPECT_THROW(chol.solve_unit_columns(0, 4, std::span(x).first(19)), std::invalid_argument);
+  EXPECT_NO_THROW(chol.solve_unit_columns(1, 4, x));
+  EXPECT_NO_THROW(chol.solve_unit_columns(5, 0, x));
 }
 
 TEST(Sparse, AdoptedPatternIsValidated) {
