@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string_view>
@@ -20,6 +21,14 @@ namespace {
 /// Rule name -> the pass that owns it, for --only routing.
 const std::map<std::string, std::string, std::less<>>& rule_passes() {
   static const std::map<std::string, std::string, std::less<>> kMap = {
+      {"raw-assert", "lint"},
+      {"pragma-once", "lint"},
+      {"using-namespace-header", "lint"},
+      {"unseeded-rng", "lint"},
+      {"cout-in-library", "lint"},
+      {"raw-mutex-lock", "lint"},
+      {"untyped-throw", "lint"},
+      {"unchecked-narrowing", "lint"},
       {"layering", "layering"},
       {"unknown-module", "layering"},
       {"include-cycle", "include_cycles"},
@@ -31,7 +40,6 @@ const std::map<std::string, std::string, std::less<>>& rule_passes() {
       {"nondeterministic-iteration", "dataflow"},
       {"escaping-ref-capture", "dataflow"},
       {"global-mutable-state", "reentrancy"},
-      {"alloc-in-hot-path", "reentrancy"},
       {"blocking-in-lane", "reentrancy"},
       {"lock-order-inversion", "locks"},
       {"blocking-under-lock", "locks"},
@@ -41,7 +49,7 @@ const std::map<std::string, std::string, std::less<>>& rule_passes() {
   return kMap;
 }
 
-/// Minimal JSON string escaping for the SARIF writer.
+/// Minimal JSON string escaping for the JSON and SARIF writers.
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -72,33 +80,19 @@ AnalyzeResult analyze(const AnalyzeOptions& options) {
   const auto started = std::chrono::steady_clock::now();
   AnalyzeResult result;
 
-  bool layering = options.layering;
-  bool include_cycles = options.include_cycles;
-  bool concurrency = options.concurrency;
-  bool include_hygiene = options.include_hygiene;
-  bool dataflow = options.dataflow;
-  bool reentrancy = options.reentrancy;
-  bool locks = options.locks;
-  bool taint = options.taint;
-  if (!options.only_rules.empty()) {
-    std::set<std::string, std::less<>> passes;
-    for (const std::string& rule : options.only_rules) {
-      const auto it = rule_passes().find(rule);
-      if (it == rule_passes().end()) {
-        result.error = "unknown rule for --only: " + rule;
-        return result;
-      }
-      passes.insert(it->second);
+  // The passes owning the --only rules; empty runs every pass.
+  std::set<std::string, std::less<>> passes;
+  for (const std::string& rule : options.only_rules) {
+    const auto it = rule_passes().find(rule);
+    if (it == rule_passes().end()) {
+      result.error = "unknown rule for --only: " + rule;
+      return result;
     }
-    layering = passes.contains("layering");
-    include_cycles = passes.contains("include_cycles");
-    concurrency = passes.contains("concurrency");
-    include_hygiene = passes.contains("include_hygiene");
-    dataflow = passes.contains("dataflow");
-    reentrancy = passes.contains("reentrancy");
-    locks = passes.contains("locks");
-    taint = passes.contains("taint");
+    passes.insert(it->second);
   }
+  const auto enabled = [&](std::string_view pass) {
+    return passes.empty() || passes.contains(pass);
+  };
 
   std::filesystem::path conf = options.layer_config_path;
   if (conf.empty()) conf = options.root / "docs" / "layering.conf";
@@ -107,33 +101,35 @@ AnalyzeResult analyze(const AnalyzeOptions& options) {
 
   std::vector<std::filesystem::path> paths = options.paths;
   if (paths.empty()) paths = {"src", "tools", "tests"};
-  result.project = load_project(options.root, paths);
+  result.project = load_project(options.root, paths, result.error);
+  if (!result.error.empty()) return result;
   result.callgraph = build_call_graph(result.project);
 
-  auto append = [&](std::vector<check::LintDiagnostic> findings) {
+  auto append = [&](std::vector<LintDiagnostic> findings) {
     result.findings.insert(result.findings.end(),
                            std::make_move_iterator(findings.begin()),
                            std::make_move_iterator(findings.end()));
   };
-  if (layering) append(check_layering(result.project, result.config));
-  if (include_cycles) append(check_include_cycles(result.project));
-  if (concurrency) append(check_concurrency(result.project));
-  if (include_hygiene) append(check_include_hygiene(result.project));
-  if (dataflow) append(check_dataflow(result.project));
-  if (reentrancy)
+  if (enabled("lint")) append(check_lint(result.project));
+  if (enabled("layering")) append(check_layering(result.project, result.config));
+  if (enabled("include_cycles")) append(check_include_cycles(result.project));
+  if (enabled("concurrency")) append(check_concurrency(result.project));
+  if (enabled("include_hygiene")) append(check_include_hygiene(result.project));
+  if (enabled("dataflow")) append(check_dataflow(result.project));
+  if (enabled("reentrancy"))
     append(check_reentrancy(result.project, result.callgraph, options.entries));
   // The lock model always runs so --lockgraph-dot renders without a
   // re-scan; its findings only count when the pass is enabled.
   {
-    std::vector<check::LintDiagnostic> lock_findings =
+    std::vector<LintDiagnostic> lock_findings =
         check_locks(result.project, result.callgraph, &result.lockgraph);
-    if (locks) append(std::move(lock_findings));
+    if (enabled("locks")) append(std::move(lock_findings));
   }
   // Likewise the taint model: the flow graph backs --taint-dot.
   {
-    std::vector<check::LintDiagnostic> taint_findings =
+    std::vector<LintDiagnostic> taint_findings =
         check_taint(result.project, result.callgraph, &result.taintgraph);
-    if (taint) append(std::move(taint_findings));
+    if (enabled("taint")) append(std::move(taint_findings));
   }
 
   // --only keeps exactly the named rules: a pass that owns several rules
@@ -141,7 +137,7 @@ AnalyzeResult analyze(const AnalyzeOptions& options) {
   if (!options.only_rules.empty()) {
     const std::set<std::string, std::less<>> keep(options.only_rules.begin(),
                                                   options.only_rules.end());
-    std::erase_if(result.findings, [&](const check::LintDiagnostic& d) {
+    std::erase_if(result.findings, [&](const LintDiagnostic& d) {
       return !keep.contains(d.rule);
     });
   }
@@ -151,14 +147,13 @@ AnalyzeResult analyze(const AnalyzeOptions& options) {
   // and passes that overlap on a line all produce byte-identical output.
   std::stable_sort(
       result.findings.begin(), result.findings.end(),
-      [](const check::LintDiagnostic& a, const check::LintDiagnostic& b) {
+      [](const LintDiagnostic& a, const LintDiagnostic& b) {
         return std::tie(a.file, a.line, a.rule, a.message) <
                std::tie(b.file, b.line, b.rule, b.message);
       });
   result.findings.erase(
       std::unique(result.findings.begin(), result.findings.end(),
-                  [](const check::LintDiagnostic& a,
-                     const check::LintDiagnostic& b) {
+                  [](const LintDiagnostic& a, const LintDiagnostic& b) {
                     return std::tie(a.file, a.line, a.rule, a.message) ==
                            std::tie(b.file, b.line, b.rule, b.message);
                   }),
@@ -169,11 +164,31 @@ AnalyzeResult analyze(const AnalyzeOptions& options) {
   return result;
 }
 
+std::string json_report(const AnalyzeResult& result) {
+  char wall[32];
+  std::snprintf(wall, sizeof wall, "%.3f", result.wall_ms);
+  std::string out = "{\n  \"wall_ms\": " + std::string(wall) +
+                    ",\n  \"files\": " +
+                    std::to_string(result.project.files.size()) +
+                    ",\n  \"findings\": [\n";
+  for (std::size_t i = 0; i < result.findings.size(); ++i) {
+    const LintDiagnostic& d = result.findings[i];
+    out += "    {\"file\": \"" + json_escape(d.file) +
+           "\", \"line\": " + std::to_string(d.line) + ", \"rule\": \"" +
+           json_escape(d.rule) + "\", \"message\": \"" +
+           json_escape(d.message) + "\"}";
+    if (i + 1 < result.findings.size()) out += ",";
+    out += "\n";
+  }
+  out += "  ]\n}\n";
+  return out;
+}
+
 std::string sarif_report(const AnalyzeResult& result) {
   // One rule descriptor per distinct rule, sorted, then one result per
   // finding in report order -- both deterministic by construction.
   std::set<std::string> rules;
-  for (const check::LintDiagnostic& d : result.findings) rules.insert(d.rule);
+  for (const LintDiagnostic& d : result.findings) rules.insert(d.rule);
 
   std::string out;
   out += "{\n";
@@ -198,7 +213,7 @@ std::string sarif_report(const AnalyzeResult& result) {
   out += "      },\n";
   out += "      \"results\": [\n";
   first = true;
-  for (const check::LintDiagnostic& d : result.findings) {
+  for (const LintDiagnostic& d : result.findings) {
     if (!first) out += ",\n";
     first = false;
     out += "        {\n";

@@ -7,10 +7,10 @@
 #include "analyze/callgraph.h"
 #include "analyze/include_graph.h"
 #include "analyze/layering.h"
+#include "analyze/lint.h"
 #include "analyze/locks.h"
 #include "analyze/source_model.h"
 #include "analyze/taint.h"
-#include "check/lint.h"
 
 namespace ntr::analyze {
 
@@ -21,23 +21,6 @@ struct AnalyzeOptions {
   std::filesystem::path root;
   std::vector<std::filesystem::path> paths;
   std::filesystem::path layer_config_path;
-  bool layering = true;
-  bool include_cycles = true;
-  bool concurrency = true;
-  bool include_hygiene = true;
-  /// The semantic dataflow passes (unchecked-status,
-  /// nondeterministic-iteration, escaping-ref-capture); see
-  /// analyze/dataflow.h.
-  bool dataflow = true;
-  /// The interprocedural reachability passes (global-mutable-state,
-  /// alloc-in-hot-path, blocking-in-lane); see analyze/reentrancy.h.
-  bool reentrancy = true;
-  /// The lock-discipline pass (lock-order-inversion, blocking-under-lock,
-  /// unguarded-member-access); see analyze/locks.h.
-  bool locks = true;
-  /// The wire-taint pass (untrusted boundary input reaching resource
-  /// sinks); see analyze/taint.h.
-  bool taint = true;
   /// Non-empty: run only the passes owning these rule names and keep only
   /// their findings. An unknown rule name is a fatal `error` (exit 2).
   std::vector<std::string> only_rules;
@@ -52,7 +35,7 @@ struct AnalyzeOptions {
 /// figure without re-scanning), and a fatal `error` -- unreadable or
 /// malformed layering.conf -- which callers map to exit code 2.
 struct AnalyzeResult {
-  std::vector<check::LintDiagnostic> findings;
+  std::vector<LintDiagnostic> findings;
   Project project;
   LayerConfig config;
   /// The whole-project call graph (always built; the CLI renders it with
@@ -69,8 +52,14 @@ struct AnalyzeResult {
   std::string error;
 };
 
-/// Runs every enabled pass over the project under `options.root`.
+/// Runs every selected pass over the project under `options.root`: the
+/// lint rules (analyze/lint.h), layering, include cycles, concurrency,
+/// include hygiene, dataflow, reentrancy, locks and taint.
 [[nodiscard]] AnalyzeResult analyze(const AnalyzeOptions& options);
+
+/// Renders the result as the `--json` report: an object with `wall_ms`,
+/// `files`, and the findings array. Deterministic apart from wall_ms.
+[[nodiscard]] std::string json_report(const AnalyzeResult& result);
 
 /// Renders the result's findings as a SARIF 2.1.0 log (one run, one
 /// driver, one result per finding), for CI upload. Deterministic.

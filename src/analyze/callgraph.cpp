@@ -5,21 +5,16 @@
 #include <map>
 #include <set>
 
-#include "check/cpp_parser.h"
+#include "analyze/cpp_parser.h"
 
 namespace ntr::analyze {
 
 namespace {
 
-using check::ParsedCall;
-using check::ParsedFunction;
-using check::ParsedScope;
-using check::ParsedSource;
-
 /// True when `node` satisfies an explicit `a::b` call qualifier: the
 /// node's qualified name is exactly `qual::name` or ends with it on a
-/// segment boundary, so `check::parse_source` matches
-/// `ntr::check::parse_source` but `std::sort` matches nothing.
+/// segment boundary, so `parse_source` matches
+/// `ntr::parse_source` but `std::sort` matches nothing.
 bool qualifier_matches(const CallGraphNode& node, const std::string& qual) {
   const std::string want = qual + "::" + node.name;
   return node.qualified == want || node.qualified.ends_with("::" + want);
@@ -94,9 +89,6 @@ CallGraph build_call_graph(const Project& project) {
       node.name = fn.name;
       node.line = fn.line;
       node.has_body = fn.body_begin != 0;
-      // NTR_HOT expands to nothing, so on an annotated definition the
-      // macro token lands in the parser's coarse return-type head.
-      node.hot = node.has_body && check::return_type_has(fn, "NTR_HOT");
 
       // Qualified name: enclosing namespace/class scopes from the
       // outside in, then the out-of-line qualifier, then the name.
@@ -216,15 +208,15 @@ CallGraph build_call_graph(const Project& project) {
               for (const int t : methods)
                 if (matches_type(t, cls)) narrowed.push_back(t);
           } else if (!call.receiver.empty()) {
-            const check::ParsedDecl* decl =
+            const ParsedDecl* decl =
                 parsed.lookup(call.receiver, call.name_index);
             if (decl != nullptr)
               for (const int t : methods) {
                 const std::string& cls =
                     graph.nodes[static_cast<std::size_t>(t)].class_name;
-                bool hit = check::decl_type_has(*decl, cls);
+                bool hit = decl_type_has(*decl, cls);
                 for (const std::string& a : ancestors(cls))
-                  if (check::decl_type_has(*decl, a)) hit = true;
+                  if (decl_type_has(*decl, a)) hit = true;
                 if (hit) narrowed.push_back(t);
               }
           }
@@ -335,9 +327,7 @@ std::string call_graph_dot(const CallGraph& graph, const Project& project) {
     const std::string& module =
         project.files[static_cast<std::size_t>(node.file)].module_name;
     dot += "  \"" + qualified + "\" [label=\"" + qualified + "\\n(" + module +
-           ")\"";
-    if (node.hot) dot += ", color=red";
-    dot += "];\n";
+           ")\"];\n";
   }
   for (const auto& [a, b] : edges)
     dot += "  \"" + a + "\" -> \"" + b + "\";\n";

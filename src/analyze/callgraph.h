@@ -32,7 +32,6 @@ struct CallGraphNode {
                            ///< qualifier segment); "" for free functions
   std::size_t line = 0;
   bool has_body = false;
-  bool hot = false;  ///< definition carries the NTR_HOT annotation
 };
 
 /// One call expression, attributed to the innermost enclosing function

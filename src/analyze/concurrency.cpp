@@ -6,14 +6,11 @@
 #include <set>
 #include <string>
 
-#include "check/cpp_lexer.h"
+#include "analyze/cpp_lexer.h"
 
 namespace ntr::analyze {
 
 namespace {
-
-using check::Token;
-using check::TokenKind;
 
 constexpr std::array<std::string_view, 2> kParallelEntryPoints = {
     "parallel_chunks", "parallel_for"};
@@ -163,17 +160,17 @@ bool parse_lambda(const std::vector<Token>& toks, std::size_t lb, Lambda& out) {
 
 }  // namespace
 
-std::vector<check::LintDiagnostic> check_concurrency(const Project& project) {
-  std::vector<check::LintDiagnostic> out;
+std::vector<LintDiagnostic> check_concurrency(const Project& project) {
+  std::vector<LintDiagnostic> out;
   for (std::size_t fi = 0; fi < project.files.size(); ++fi) {
     const SourceFile& sf = project.files[fi];
     const std::vector<Token>& toks = sf.lexed.tokens;
     const auto report = [&](std::size_t line, std::string_view rule,
                             std::string message) {
-      if (check::lint_suppressed(project.raw_line(fi, line), sf.content, rule))
+      if (lint_suppressed(project.raw_line(fi, line), sf.content, rule))
         return;
-      out.push_back(check::LintDiagnostic{sf.path, line, std::string(rule),
-                                          std::move(message)});
+      out.push_back(LintDiagnostic{sf.path, line, std::string(rule),
+                                   std::move(message)});
     };
 
     for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
@@ -304,7 +301,7 @@ std::vector<check::LintDiagnostic> check_concurrency(const Project& project) {
     }
   }
   std::sort(out.begin(), out.end(),
-            [](const check::LintDiagnostic& a, const check::LintDiagnostic& b) {
+            [](const LintDiagnostic& a, const LintDiagnostic& b) {
               return std::tie(a.file, a.line, a.rule, a.message) <
                      std::tie(b.file, b.line, b.rule, b.message);
             });

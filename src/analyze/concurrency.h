@@ -2,8 +2,8 @@
 
 #include <vector>
 
+#include "analyze/lint.h"
 #include "analyze/source_model.h"
-#include "check/lint.h"
 
 namespace ntr::analyze {
 
@@ -11,7 +11,7 @@ namespace ntr::analyze {
 /// `parallel_for` call site (the repo's only way to run library code on
 /// multiple lanes -- ThreadPool::run is an implementation detail behind
 /// them). Two rules, both token-level heuristics in the spirit of
-/// ntr_lint, not a points-to analysis:
+/// the lint pass, not a points-to analysis:
 ///
 ///   parallel-shared-write  an identifier captured by reference in a lane
 ///                          lambda is written (assignment, ++/--, or a
@@ -40,7 +40,7 @@ namespace ntr::analyze {
 /// the lambda body) are exempt by construction. Nested lambdas inside a
 /// lane body are scanned as part of that body. Findings honor the
 /// standard `ntr-lint-allow(<rule>)` suppressions.
-[[nodiscard]] std::vector<check::LintDiagnostic> check_concurrency(
+[[nodiscard]] std::vector<LintDiagnostic> check_concurrency(
     const Project& project);
 
 }  // namespace ntr::analyze

@@ -1,9 +1,9 @@
-#include "check/cpp_lexer.h"
+#include "analyze/cpp_lexer.h"
 
 #include <array>
 #include <cctype>
 
-namespace ntr::check {
+namespace ntr::analyze {
 
 namespace {
 
@@ -290,4 +290,4 @@ LexedSource lex_source(std::string_view src) {
   return out;
 }
 
-}  // namespace ntr::check
+}  // namespace ntr::analyze

@@ -5,9 +5,9 @@
 #include <string_view>
 #include <vector>
 
-namespace ntr::check {
+namespace ntr::analyze {
 
-/// A lightweight C++ lexer shared by the `ntr_lint` line rules and the
+/// A lightweight C++ lexer shared by the lint pass and the other
 /// `ntr_analyze` whole-program passes. It is not a compiler front end: it
 /// splits a translation unit into identifier/number/literal/punctuator
 /// tokens, understands line and block comments, plain and raw string
@@ -56,4 +56,4 @@ struct LexedSource {
 /// rather than an error, because lint passes must not die on fixtures.
 [[nodiscard]] LexedSource lex_source(std::string_view content);
 
-}  // namespace ntr::check
+}  // namespace ntr::analyze

@@ -1,9 +1,9 @@
-#include "check/cpp_parser.h"
+#include "analyze/cpp_parser.h"
 
 #include <algorithm>
 #include <array>
 
-namespace ntr::check {
+namespace ntr::analyze {
 
 namespace {
 
@@ -877,4 +877,4 @@ ParsedSource parse_source(const LexedSource& lexed) {
   return out;
 }
 
-}  // namespace ntr::check
+}  // namespace ntr::analyze

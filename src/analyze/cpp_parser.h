@@ -5,9 +5,9 @@
 #include <string_view>
 #include <vector>
 
-#include "check/cpp_lexer.h"
+#include "analyze/cpp_lexer.h"
 
-namespace ntr::check {
+namespace ntr::analyze {
 
 /// A lightweight declaration/scope-aware front end on top of `cpp_lexer`,
 /// shared by the `ntr_analyze` semantic passes. It recovers exactly the
@@ -169,4 +169,4 @@ struct ParsedSource {
 /// or on code the heuristics do not cover.
 [[nodiscard]] ParsedSource parse_source(const LexedSource& lexed);
 
-}  // namespace ntr::check
+}  // namespace ntr::analyze

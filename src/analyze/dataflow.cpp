@@ -8,20 +8,12 @@
 #include <string_view>
 #include <tuple>
 
-#include "check/cpp_lexer.h"
-#include "check/cpp_parser.h"
+#include "analyze/cpp_lexer.h"
+#include "analyze/cpp_parser.h"
 
 namespace ntr::analyze {
 
 namespace {
-
-using check::ParsedCall;
-using check::ParsedDecl;
-using check::ParsedFunction;
-using check::ParsedLambda;
-using check::ParsedSource;
-using check::Token;
-using check::TokenKind;
 
 template <std::size_t N>
 bool in_set(const std::array<std::string_view, N>& set, std::string_view s) {
@@ -82,7 +74,7 @@ constexpr std::array<std::string_view, 4> kTaskStores = {
 bool decl_type_any(const ParsedDecl& d,
                    std::span<const std::string_view> idents) {
   for (const std::string_view t : idents)
-    if (check::decl_type_has(d, t)) return true;
+    if (decl_type_has(d, t)) return true;
   return false;
 }
 
@@ -109,15 +101,15 @@ struct FileCtx {
 void check_unchecked_status(
     const Project& project, std::size_t fi, const FileCtx& ctx,
     const std::set<std::string, std::less<>>& status_fns,
-    std::vector<check::LintDiagnostic>& out) {
+    std::vector<LintDiagnostic>& out) {
   const SourceFile& sf = *ctx.sf;
   const std::vector<Token>& toks = sf.lexed.tokens;
   const auto report = [&](std::size_t line, std::string message) {
-    if (check::lint_suppressed(project.raw_line(fi, line), sf.content,
-                               "unchecked-status"))
+    if (lint_suppressed(project.raw_line(fi, line), sf.content,
+                        "unchecked-status"))
       return;
-    out.push_back(check::LintDiagnostic{sf.path, line, "unchecked-status",
-                                        std::move(message)});
+    out.push_back(LintDiagnostic{sf.path, line, "unchecked-status",
+                                 std::move(message)});
   };
 
   // A Status-returning call whose result roots a discarded statement.
@@ -137,9 +129,9 @@ void check_unchecked_status(
     if (decl.scope < 0) continue;
     const auto& scope = ctx.parsed->scopes[static_cast<std::size_t>(decl.scope)];
     if (scope.function == -1) continue;  // members: used across functions
-    bool status_typed = check::decl_type_has(decl, "Status") ||
-                        check::decl_type_has(decl, "StatusOr");
-    if (!status_typed && check::decl_type_has(decl, "auto") &&
+    bool status_typed = decl_type_has(decl, "Status") ||
+                        decl_type_has(decl, "StatusOr");
+    if (!status_typed && decl_type_has(decl, "auto") &&
         decl.name_index + 1 < toks.size() &&
         is_punct(toks[decl.name_index + 1], "=")) {
       // `auto r = try_x(...)`: the outermost call of the initializer's
@@ -185,17 +177,17 @@ void check_unchecked_status(
 
 void check_nondeterministic_iteration(const Project& project, std::size_t fi,
                                       const FileCtx& ctx,
-                                      std::vector<check::LintDiagnostic>& out) {
+                                      std::vector<LintDiagnostic>& out) {
   const SourceFile& sf = *ctx.sf;
   const std::vector<Token>& toks = sf.lexed.tokens;
   const ParsedSource& parsed = *ctx.parsed;
   const auto report = [&](std::size_t line, std::string message) {
-    if (check::lint_suppressed(project.raw_line(fi, line), sf.content,
-                               "nondeterministic-iteration"))
+    if (lint_suppressed(project.raw_line(fi, line), sf.content,
+                        "nondeterministic-iteration"))
       return;
-    out.push_back(check::LintDiagnostic{sf.path, line,
-                                        "nondeterministic-iteration",
-                                        std::move(message)});
+    out.push_back(LintDiagnostic{sf.path, line,
+                                 "nondeterministic-iteration",
+                                 std::move(message)});
   };
 
   for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
@@ -347,16 +339,16 @@ void check_nondeterministic_iteration(const Project& project, std::size_t fi,
 
 void check_escaping_ref_capture(const Project& project, std::size_t fi,
                                 const FileCtx& ctx,
-                                std::vector<check::LintDiagnostic>& out) {
+                                std::vector<LintDiagnostic>& out) {
   const SourceFile& sf = *ctx.sf;
   const std::vector<Token>& toks = sf.lexed.tokens;
   const ParsedSource& parsed = *ctx.parsed;
   const auto report = [&](std::size_t line, std::string message) {
-    if (check::lint_suppressed(project.raw_line(fi, line), sf.content,
-                               "escaping-ref-capture"))
+    if (lint_suppressed(project.raw_line(fi, line), sf.content,
+                        "escaping-ref-capture"))
       return;
-    out.push_back(check::LintDiagnostic{sf.path, line, "escaping-ref-capture",
-                                        std::move(message)});
+    out.push_back(LintDiagnostic{sf.path, line, "escaping-ref-capture",
+                                 std::move(message)});
   };
 
   for (const ParsedLambda& lam : parsed.lambdas) {
@@ -412,8 +404,8 @@ void check_escaping_ref_capture(const Project& project, std::size_t fi,
     bool threaded = false;
     {
       for (const ParsedDecl& d : parsed.decls) {
-        if (!(check::decl_type_has(d, "thread") ||
-              check::decl_type_has(d, "jthread")))
+        if (!(decl_type_has(d, "thread") ||
+              decl_type_has(d, "jthread")))
           continue;
         if (d.name_index >= lam.intro || d.name_index + 1 >= toks.size())
           continue;
@@ -447,7 +439,7 @@ void check_escaping_ref_capture(const Project& project, std::size_t fi,
                               is_punct(toks[lam.intro - 3], "->")));
       const ParsedDecl* d = parsed.lookup(name, lam.intro - 2);
       const bool outlives_fn =
-          d != nullptr && check::decl_type_has(*d, "function") &&
+          d != nullptr && decl_type_has(*d, "function") &&
           parsed.scopes[static_cast<std::size_t>(d->scope)].function == -1;
       if (member_target || outlives_fn) {
         report(lam.line,
@@ -463,8 +455,8 @@ void check_escaping_ref_capture(const Project& project, std::size_t fi,
 
 }  // namespace
 
-std::vector<check::LintDiagnostic> check_dataflow(const Project& project) {
-  std::vector<check::LintDiagnostic> out;
+std::vector<LintDiagnostic> check_dataflow(const Project& project) {
+  std::vector<LintDiagnostic> out;
 
   // Parse every file once; the whole-project view is what lets the
   // unchecked-status pass know return types across headers.
@@ -475,8 +467,8 @@ std::vector<check::LintDiagnostic> check_dataflow(const Project& project) {
     ctxs[fi].parsed = &project.files[fi].parsed;  // parsed once at load
     for (const ParsedFunction& fn : ctxs[fi].parsed->functions) {
       if (fn.name == "Status" || fn.name == "StatusOr") continue;
-      if (check::return_type_has(fn, "Status") ||
-          check::return_type_has(fn, "StatusOr"))
+      if (return_type_has(fn, "Status") ||
+          return_type_has(fn, "StatusOr"))
         status_fns.insert(fn.name);
     }
   }
@@ -492,7 +484,7 @@ std::vector<check::LintDiagnostic> check_dataflow(const Project& project) {
   }
 
   std::sort(out.begin(), out.end(),
-            [](const check::LintDiagnostic& a, const check::LintDiagnostic& b) {
+            [](const LintDiagnostic& a, const LintDiagnostic& b) {
               return std::tie(a.file, a.line, a.rule, a.message) <
                      std::tie(b.file, b.line, b.rule, b.message);
             });

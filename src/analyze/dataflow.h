@@ -2,13 +2,13 @@
 
 #include <vector>
 
+#include "analyze/lint.h"
 #include "analyze/source_model.h"
-#include "check/lint.h"
 
 namespace ntr::analyze {
 
 /// Semantic dataflow passes over the scope-aware parse
-/// (`check/cpp_parser.h`) of every project file. Three rules, all scoped
+/// (`analyze/cpp_parser.h`) of every project file. Three rules, all scoped
 /// to `src/` (tools and tests may legitimately discard, iterate, and
 /// capture however they like):
 ///
@@ -37,7 +37,7 @@ namespace ntr::analyze {
 /// Like every `ntr_analyze` pass these are documented heuristics on the
 /// coarse parse, not a compiler analysis; see docs/static_analysis.md
 /// ("Semantic passes") for the model and its known limits.
-[[nodiscard]] std::vector<check::LintDiagnostic> check_dataflow(
+[[nodiscard]] std::vector<LintDiagnostic> check_dataflow(
     const Project& project);
 
 }  // namespace ntr::analyze

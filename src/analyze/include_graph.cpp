@@ -67,9 +67,9 @@ std::vector<int> tarjan_scc(const Project& project, int& component_count) {
   return comp;
 }
 
-void sort_findings(std::vector<check::LintDiagnostic>& out) {
+void sort_findings(std::vector<LintDiagnostic>& out) {
   std::sort(out.begin(), out.end(),
-            [](const check::LintDiagnostic& a, const check::LintDiagnostic& b) {
+            [](const LintDiagnostic& a, const LintDiagnostic& b) {
               return std::tie(a.file, a.line, a.rule, a.message) <
                      std::tie(b.file, b.line, b.rule, b.message);
             });
@@ -77,8 +77,8 @@ void sort_findings(std::vector<check::LintDiagnostic>& out) {
 
 bool suppressed_at(const Project& project, std::size_t file, std::size_t line,
                    std::string_view rule) {
-  return check::lint_suppressed(project.raw_line(file, line),
-                                project.files[file].content, rule);
+  return lint_suppressed(project.raw_line(file, line),
+                         project.files[file].content, rule);
 }
 
 }  // namespace
@@ -109,16 +109,16 @@ std::vector<ModuleEdge> module_edges(const Project& project,
   return out;
 }
 
-std::vector<check::LintDiagnostic> check_layering(const Project& project,
-                                                  const LayerConfig& config) {
-  std::vector<check::LintDiagnostic> out;
+std::vector<LintDiagnostic> check_layering(const Project& project,
+                                           const LayerConfig& config) {
+  std::vector<LintDiagnostic> out;
   std::set<std::string> unknown_reported;
   for (std::size_t fi = 0; fi < project.files.size(); ++fi) {
     const SourceFile& sf = project.files[fi];
     if (config.layer_of(sf.module_name) < 0 &&
         unknown_reported.insert(sf.module_name).second &&
         !suppressed_at(project, fi, 1, "unknown-module")) {
-      out.push_back(check::LintDiagnostic{
+      out.push_back(LintDiagnostic{
           sf.path, 1, "unknown-module",
           "module '" + sf.module_name +
               "' is not declared in any layer of layering.conf"});
@@ -131,7 +131,7 @@ std::vector<check::LintDiagnostic> check_layering(const Project& project,
       if (config.allows(sf.module_name, target.module_name)) continue;
       const std::size_t line = sf.lexed.includes[i].line;
       if (suppressed_at(project, fi, line, "layering")) continue;
-      out.push_back(check::LintDiagnostic{
+      out.push_back(LintDiagnostic{
           sf.path, line, "layering",
           "module '" + sf.module_name + "' (layer '" +
               std::string(config.layer_name(sf.module_name)) +
@@ -145,7 +145,7 @@ std::vector<check::LintDiagnostic> check_layering(const Project& project,
   return out;
 }
 
-std::vector<check::LintDiagnostic> check_include_cycles(const Project& project) {
+std::vector<LintDiagnostic> check_include_cycles(const Project& project) {
   int component_count = 0;
   const std::vector<int> comp = tarjan_scc(project, component_count);
 
@@ -155,7 +155,7 @@ std::vector<check::LintDiagnostic> check_include_cycles(const Project& project) 
   for (std::size_t i = 0; i < comp.size(); ++i)
     members[comp[i]].push_back(i);
 
-  std::vector<check::LintDiagnostic> out;
+  std::vector<LintDiagnostic> out;
   for (auto& [c, files] : members) {
     bool self_loop = false;
     if (files.size() == 1) {
@@ -205,7 +205,7 @@ std::vector<check::LintDiagnostic> check_include_cycles(const Project& project) 
     }
     if (suppressed_at(project, anchor, line, "include-cycle")) continue;
     out.push_back(
-        check::LintDiagnostic{af.path, line, "include-cycle", std::move(msg)});
+        LintDiagnostic{af.path, line, "include-cycle", std::move(msg)});
   }
   sort_findings(out);
   return out;

@@ -4,8 +4,8 @@
 #include <vector>
 
 #include "analyze/layering.h"
+#include "analyze/lint.h"
 #include "analyze/source_model.h"
-#include "check/lint.h"
 
 namespace ntr::analyze {
 
@@ -27,14 +27,14 @@ struct ModuleEdge {
 /// (every witness include line, not just one per module pair, so fixes
 /// are mechanical), plus one `unknown-module` finding per module that the
 /// conf does not declare.
-[[nodiscard]] std::vector<check::LintDiagnostic> check_layering(
+[[nodiscard]] std::vector<LintDiagnostic> check_layering(
     const Project& project, const LayerConfig& config);
 
 /// Include-cycle pass: Tarjan SCCs over the resolved file-level include
 /// graph; every component with more than one file (or a self-include)
 /// yields one `include-cycle` finding naming the full cycle path,
 /// anchored at the lexicographically first file's closing include.
-[[nodiscard]] std::vector<check::LintDiagnostic> check_include_cycles(
+[[nodiscard]] std::vector<LintDiagnostic> check_include_cycles(
     const Project& project);
 
 /// GraphViz rendering of the module DAG, grouped into one cluster per

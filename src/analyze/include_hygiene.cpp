@@ -6,14 +6,11 @@
 #include <set>
 #include <string>
 
-#include "check/cpp_lexer.h"
+#include "analyze/cpp_lexer.h"
 
 namespace ntr::analyze {
 
 namespace {
-
-using check::Token;
-using check::TokenKind;
 
 bool is_punct(const Token& t, std::string_view text) {
   return t.kind == TokenKind::kPunct && t.text == text;
@@ -146,7 +143,7 @@ std::string companion_header_path(const SourceFile& sf) {
 
 }  // namespace
 
-std::vector<check::LintDiagnostic> check_include_hygiene(const Project& project) {
+std::vector<LintDiagnostic> check_include_hygiene(const Project& project) {
   const std::size_t n = project.files.size();
 
   std::vector<DeclaredNames> decls(n);
@@ -184,15 +181,15 @@ std::vector<check::LintDiagnostic> check_include_hygiene(const Project& project)
     }
   }
 
-  std::vector<check::LintDiagnostic> out;
+  std::vector<LintDiagnostic> out;
   for (std::size_t fi = 0; fi < n; ++fi) {
     const SourceFile& sf = project.files[fi];
     const auto report = [&](std::size_t line, std::string_view rule,
                             std::string message) {
-      if (check::lint_suppressed(project.raw_line(fi, line), sf.content, rule))
+      if (lint_suppressed(project.raw_line(fi, line), sf.content, rule))
         return;
-      out.push_back(check::LintDiagnostic{sf.path, line, std::string(rule),
-                                          std::move(message)});
+      out.push_back(LintDiagnostic{sf.path, line, std::string(rule),
+                                   std::move(message)});
     };
 
     const int companion = [&] {
@@ -267,7 +264,7 @@ std::vector<check::LintDiagnostic> check_include_hygiene(const Project& project)
     }
   }
   std::sort(out.begin(), out.end(),
-            [](const check::LintDiagnostic& a, const check::LintDiagnostic& b) {
+            [](const LintDiagnostic& a, const LintDiagnostic& b) {
               return std::tie(a.file, a.line, a.rule, a.message) <
                      std::tie(b.file, b.line, b.rule, b.message);
             });

@@ -2,8 +2,8 @@
 
 #include <vector>
 
+#include "analyze/lint.h"
 #include "analyze/source_model.h"
-#include "check/lint.h"
 
 namespace ntr::analyze {
 
@@ -28,7 +28,7 @@ namespace ntr::analyze {
 ///
 /// Both honor `ntr-lint-allow(<rule>)` on the include/use line and the
 /// file-wide `ntr-lint-allow-file(<rule>)` form.
-[[nodiscard]] std::vector<check::LintDiagnostic> check_include_hygiene(
+[[nodiscard]] std::vector<LintDiagnostic> check_include_hygiene(
     const Project& project);
 
 }  // namespace ntr::analyze

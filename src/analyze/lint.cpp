@@ -1,13 +1,12 @@
-#include "check/lint.h"
+#include "analyze/lint.h"
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
-#include <sstream>
 
-#include "check/cpp_lexer.h"
+#include "analyze/cpp_lexer.h"
+#include "analyze/source_model.h"
 
-namespace ntr::check {
+namespace ntr::analyze {
 
 namespace {
 
@@ -131,23 +130,9 @@ bool is_header(std::string_view path) {
   return path.ends_with(".h") || path.ends_with(".hpp");
 }
 
-}  // namespace
-
-bool lint_suppressed(std::string_view raw_line, std::string_view file_content,
-                     std::string_view rule) {
-  const std::string line_tag = "ntr-lint-allow(" + std::string(rule) + ")";
-  if (raw_line.find(line_tag) != std::string_view::npos) return true;
-  if (raw_line.find("ntr-lint-allow(all)") != std::string_view::npos) return true;
-  const std::string file_tag = "ntr-lint-allow-file(" + std::string(rule) + ")";
-  return file_content.find(file_tag) != std::string_view::npos;
-}
-
-std::string format(const LintDiagnostic& d) {
-  return d.file + ":" + std::to_string(d.line) + ": [" + d.rule + "] " + d.message;
-}
-
-std::vector<LintDiagnostic> lint_source(std::string_view path,
-                                        std::string_view content) {
+std::vector<LintDiagnostic> lint_lexed(std::string_view path,
+                                       std::string_view content,
+                                       const LexedSource& lexed) {
   std::vector<LintDiagnostic> out;
   const bool header = is_header(path);
   const bool rng_scope = path.find("src/core/") != std::string_view::npos ||
@@ -169,7 +154,6 @@ std::vector<LintDiagnostic> lint_source(std::string_view path,
                                  std::move(message)});
   };
 
-  const LexedSource lexed = lex_source(content);
   bool pragma_once_seen = false;
   for (std::size_t li = 0; li < lexed.raw_lines.size(); ++li) {
     const std::size_t line_no = li + 1;
@@ -244,62 +228,35 @@ std::vector<LintDiagnostic> lint_source(std::string_view path,
   return out;
 }
 
-std::vector<LintDiagnostic> lint_file(const std::filesystem::path& repo_root,
-                                      const std::filesystem::path& file) {
-  std::error_code ec;
-  std::filesystem::path rel = std::filesystem::relative(file, repo_root, ec);
-  if (ec || rel.empty() || *rel.begin() == "..") rel = file;
-  const std::string path = rel.generic_string();
+}  // namespace
 
-  std::ifstream in(file, std::ios::binary);
-  if (!in) {
-    return {LintDiagnostic{path, 0, "io", "cannot read file"}};
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return lint_source(path, buffer.str());
+bool lint_suppressed(std::string_view raw_line, std::string_view file_content,
+                     std::string_view rule) {
+  const std::string line_tag = "ntr-lint-allow(" + std::string(rule) + ")";
+  if (raw_line.find(line_tag) != std::string_view::npos) return true;
+  if (raw_line.find("ntr-lint-allow(all)") != std::string_view::npos) return true;
+  const std::string file_tag = "ntr-lint-allow-file(" + std::string(rule) + ")";
+  return file_content.find(file_tag) != std::string_view::npos;
 }
 
-std::vector<LintDiagnostic> lint_paths(
-    const std::filesystem::path& repo_root,
-    std::span<const std::filesystem::path> paths) {
-  std::vector<std::filesystem::path> files;
-  const auto scannable = [](const std::filesystem::path& p) {
-    const std::string ext = p.extension().string();
-    return ext == ".h" || ext == ".hpp" || ext == ".cc" || ext == ".cpp";
-  };
-  const auto walk = [&](const std::filesystem::path& dir, const auto& self) -> void {
-    std::vector<std::filesystem::path> entries;
-    for (const auto& entry : std::filesystem::directory_iterator(dir))
-      entries.push_back(entry.path());
-    std::sort(entries.begin(), entries.end());
-    for (const std::filesystem::path& p : entries) {
-      const std::string name = p.filename().string();
-      if (std::filesystem::is_directory(p)) {
-        if (name.empty() || name.front() == '.' || name.starts_with("build") ||
-            name == "lint_fixtures" || name == "analyze_fixtures")
-          continue;
-        self(p, self);
-      } else if (scannable(p)) {
-        files.push_back(p);
-      }
-    }
-  };
-  for (const std::filesystem::path& p : paths) {
-    if (std::filesystem::is_directory(p)) {
-      walk(p, walk);
-    } else {
-      files.push_back(p);
-    }
-  }
+std::string format(const LintDiagnostic& d) {
+  return d.file + ":" + std::to_string(d.line) + ": [" + d.rule + "] " + d.message;
+}
 
+std::vector<LintDiagnostic> lint_source(std::string_view path,
+                                        std::string_view content) {
+  return lint_lexed(path, content, lex_source(content));
+}
+
+std::vector<LintDiagnostic> check_lint(const Project& project) {
   std::vector<LintDiagnostic> out;
-  for (const std::filesystem::path& f : files) {
-    std::vector<LintDiagnostic> found = lint_file(repo_root, f);
+  for (const SourceFile& sf : project.files) {
+    std::vector<LintDiagnostic> found =
+        lint_lexed(sf.path, sf.content, sf.lexed);
     out.insert(out.end(), std::make_move_iterator(found.begin()),
                std::make_move_iterator(found.end()));
   }
   return out;
 }
 
-}  // namespace ntr::check
+}  // namespace ntr::analyze

@@ -1,14 +1,15 @@
 #pragma once
 
-#include <filesystem>
-#include <span>
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
 
-namespace ntr::check {
+namespace ntr::analyze {
 
-/// One repo-specific style/correctness finding from the ntr_lint pass.
+struct Project;
+
+/// One finding from any ntr_analyze pass.
 struct LintDiagnostic {
   std::string file;   ///< repo-relative path with '/' separators
   std::size_t line = 0;  ///< 1-based; 0 for whole-file findings
@@ -19,8 +20,8 @@ struct LintDiagnostic {
 /// "file:line: [rule] message" -- clickable in editors and CI logs.
 [[nodiscard]] std::string format(const LintDiagnostic& d);
 
-/// Scans one translation unit's text. `path` (repo-relative, '/'
-/// separators) selects which rules apply:
+/// The lint pass: per-line repo rules over one file's text. `path`
+/// (repo-relative, '/' separators) selects which rules apply:
 ///
 ///   raw-assert             everywhere: assert(...) calls or <cassert>
 ///                          includes instead of the NTR_* contract macros
@@ -32,6 +33,8 @@ struct LintDiagnostic {
 ///                          randomness is always injected and seeded)
 ///   cout-in-library        src/: no std::cout / bare printf in library
 ///                          code (tools, benches and examples may print)
+///   raw-mutex-lock         src/: no raw .lock()/.unlock() member calls;
+///                          hold mutexes through RAII guards
 ///   untyped-throw          src/{core,sim,flow,linalg,runtime,delay}/: throw
 ///                          typed ntr::runtime::NtrError on hot paths, not
 ///                          bare std::runtime_error
@@ -49,27 +52,16 @@ struct LintDiagnostic {
 [[nodiscard]] std::vector<LintDiagnostic> lint_source(std::string_view path,
                                                       std::string_view content);
 
-/// The suppression predicate behind `ntr-lint-allow(...)`, shared with the
-/// `ntr_analyze` passes so every static-analysis finding in the repo obeys
-/// one syntax: true when `raw_line` carries `ntr-lint-allow(<rule>)` or
-/// `ntr-lint-allow(all)`, or `file_content` carries
-/// `ntr-lint-allow-file(<rule>)` anywhere.
+/// lint_source over every file of a loaded project, on the lex
+/// load_project already made.
+[[nodiscard]] std::vector<LintDiagnostic> check_lint(const Project& project);
+
+/// The suppression predicate behind `ntr-lint-allow(...)`, shared by
+/// every pass so each finding in the repo obeys one syntax: true when
+/// `raw_line` carries `ntr-lint-allow(<rule>)` or `ntr-lint-allow(all)`,
+/// or `file_content` carries `ntr-lint-allow-file(<rule>)` anywhere.
 [[nodiscard]] bool lint_suppressed(std::string_view raw_line,
                                    std::string_view file_content,
                                    std::string_view rule);
 
-/// Reads and scans one file. `repo_root` is stripped from the reported
-/// path. Unreadable files yield a single diagnostic under rule "io".
-[[nodiscard]] std::vector<LintDiagnostic> lint_file(
-    const std::filesystem::path& repo_root, const std::filesystem::path& file);
-
-/// Walks files and directories (recursively; .h/.hpp/.cc/.cpp only),
-/// scanning each file. Directories named "lint_fixtures", hidden
-/// directories, and directories whose name starts with "build" are
-/// skipped during recursion -- pass such a directory explicitly to scan
-/// it (that is how the fixture corpus tests the linter).
-[[nodiscard]] std::vector<LintDiagnostic> lint_paths(
-    const std::filesystem::path& repo_root,
-    std::span<const std::filesystem::path> paths);
-
-}  // namespace ntr::check
+}  // namespace ntr::analyze

@@ -10,21 +10,12 @@
 #include <tuple>
 #include <utility>
 
-#include "check/cpp_lexer.h"
-#include "check/cpp_parser.h"
+#include "analyze/cpp_lexer.h"
+#include "analyze/cpp_parser.h"
 
 namespace ntr::analyze {
 
 namespace {
-
-using check::ParsedCall;
-using check::ParsedDecl;
-using check::ParsedFunction;
-using check::ParsedLambda;
-using check::ParsedScope;
-using check::ParsedSource;
-using check::Token;
-using check::TokenKind;
 
 template <std::size_t N>
 bool in_set(const std::array<std::string_view, N>& set, std::string_view s) {
@@ -117,18 +108,18 @@ bool justified(const Project& project, std::size_t file, std::size_t line,
 
 struct Reporter {
   const Project& project;
-  std::vector<check::LintDiagnostic>& out;
+  std::vector<LintDiagnostic>& out;
 
   void operator()(std::size_t file, std::size_t line, std::string_view rule,
                   std::string message) const {
     const SourceFile& sf = project.files[file];
     if (!sf.path.starts_with("src/")) return;
-    if (check::lint_suppressed(project.raw_line(file, line), sf.content,
-                               rule))
+    if (lint_suppressed(project.raw_line(file, line), sf.content,
+                        rule))
       return;
     if (justified(project, file, line, rule)) return;
-    out.push_back(check::LintDiagnostic{sf.path, line, std::string(rule),
-                                        std::move(message)});
+    out.push_back(LintDiagnostic{sf.path, line, std::string(rule),
+                                 std::move(message)});
   }
 };
 
@@ -547,10 +538,10 @@ std::string held_names(const std::vector<const Acq*>& held) {
 
 }  // namespace
 
-std::vector<check::LintDiagnostic> check_locks(const Project& project,
-                                               const CallGraph& graph,
-                                               LockGraph* out_graph) {
-  std::vector<check::LintDiagnostic> out;
+std::vector<LintDiagnostic> check_locks(const Project& project,
+                                        const CallGraph& graph,
+                                        LockGraph* out_graph) {
+  std::vector<LintDiagnostic> out;
   const Reporter report{project, out};
   const SymbolMaps maps = build_symbol_maps(project);
   const std::vector<LambdaCtx> lambda_ctx = build_lambda_ctx(project);
@@ -749,9 +740,9 @@ std::vector<check::LintDiagnostic> check_locks(const Project& project,
     if (from == to) return;
     const std::size_t fi = static_cast<std::size_t>(file);
     if (!project.files[fi].path.starts_with("src/")) return;
-    if (check::lint_suppressed(project.raw_line(fi, line),
-                               project.files[fi].content,
-                               "lock-order-inversion"))
+    if (lint_suppressed(project.raw_line(fi, line),
+                        project.files[fi].content,
+                        "lock-order-inversion"))
       return;
     if (justified(project, fi, line, "lock-order-inversion")) return;
     raw_edges.push_back(EdgeRec{from, to, file, line, holder});
@@ -1056,7 +1047,7 @@ std::vector<check::LintDiagnostic> check_locks(const Project& project,
 
   std::stable_sort(
       out.begin(), out.end(),
-      [](const check::LintDiagnostic& a, const check::LintDiagnostic& b) {
+      [](const LintDiagnostic& a, const LintDiagnostic& b) {
         return std::tie(a.file, a.line, a.rule, a.message) <
                std::tie(b.file, b.line, b.rule, b.message);
       });

@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "analyze/callgraph.h"
+#include "analyze/lint.h"
 #include "analyze/source_model.h"
-#include "check/lint.h"
 
 namespace ntr::analyze {
 
@@ -52,7 +52,7 @@ struct LockGraph {
 /// (file, line, rule, message); `out_graph`, when non-null, receives the
 /// lock-order graph (built even when every edge is justified away --
 /// justified edges are simply dropped, which is what breaks their cycle).
-[[nodiscard]] std::vector<check::LintDiagnostic> check_locks(
+[[nodiscard]] std::vector<LintDiagnostic> check_locks(
     const Project& project, const CallGraph& graph, LockGraph* out_graph);
 
 /// GraphViz DOT rendering of the lock-order graph: one node per mutex,

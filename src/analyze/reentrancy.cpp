@@ -5,21 +5,12 @@
 #include <string_view>
 #include <tuple>
 
-#include "check/cpp_lexer.h"
-#include "check/cpp_parser.h"
+#include "analyze/cpp_lexer.h"
+#include "analyze/cpp_parser.h"
 
 namespace ntr::analyze {
 
 namespace {
-
-using check::ParsedCall;
-using check::ParsedDecl;
-using check::ParsedFunction;
-using check::ParsedLambda;
-using check::ParsedScope;
-using check::ParsedSource;
-using check::Token;
-using check::TokenKind;
 
 template <std::size_t N>
 bool in_set(const std::array<std::string_view, N>& set, std::string_view s) {
@@ -38,18 +29,6 @@ constexpr std::array<std::string_view, 8> kSafeGlobalTypes = {
 /// (`struct Deadline {`, `enum class StatusCode {`), not a variable.
 constexpr std::array<std::string_view, 4> kTypeDefKeywords = {
     "struct", "class", "union", "enum"};
-
-constexpr std::array<std::string_view, 2> kAllocMakers = {"make_unique",
-                                                          "make_shared"};
-constexpr std::array<std::string_view, 3> kGrowthCalls = {
-    "push_back", "emplace_back", "emplace"};
-
-/// Capacity-establishing member calls: a same-receiver call to any of
-/// these discharges a growth finding in the same function, and none is
-/// reported itself. `resize`/`assign` set the final size up front --
-/// exactly the "size once, index after" discipline the rule asks for.
-constexpr std::array<std::string_view, 3> kCapacityCalls = {"reserve",
-                                                            "resize", "assign"};
 
 constexpr std::array<std::string_view, 3> kStreamGlobals = {"cout", "cerr",
                                                             "clog"};
@@ -78,18 +57,18 @@ bool justified(const Project& project, std::size_t file, std::size_t line,
 
 struct Reporter {
   const Project& project;
-  std::vector<check::LintDiagnostic>& out;
+  std::vector<LintDiagnostic>& out;
 
   void operator()(std::size_t file, std::size_t line, std::string_view rule,
                   std::string message) const {
     const SourceFile& sf = project.files[file];
     if (!sf.path.starts_with("src/")) return;
-    if (check::lint_suppressed(project.raw_line(file, line), sf.content,
-                               rule))
+    if (lint_suppressed(project.raw_line(file, line), sf.content,
+                        rule))
       return;
     if (justified(project, file, line, rule)) return;
-    out.push_back(check::LintDiagnostic{sf.path, line, std::string(rule),
-                                        std::move(message)});
+    out.push_back(LintDiagnostic{sf.path, line, std::string(rule),
+                                 std::move(message)});
   }
 };
 
@@ -140,15 +119,15 @@ void check_global_mutable_state(const Project& project, const CallGraph& graph,
       if (start >= 1 && toks[start - 1].kind == TokenKind::kPunct &&
           toks[start - 1].text == ":")
         continue;
-      if (check::decl_type_has(decl, "const") ||
-          check::decl_type_has(decl, "constexpr") ||
-          check::decl_type_has(decl, "constinit"))
+      if (decl_type_has(decl, "const") ||
+          decl_type_has(decl, "constexpr") ||
+          decl_type_has(decl, "constinit"))
         continue;
       bool safe = false;
       for (const std::string_view t : kSafeGlobalTypes)
-        if (check::decl_type_has(decl, t)) safe = true;
+        if (decl_type_has(decl, t)) safe = true;
       for (const std::string_view t : kTypeDefKeywords)
-        if (check::decl_type_has(decl, t)) safe = true;
+        if (decl_type_has(decl, t)) safe = true;
       if (safe) continue;
       globals.push_back(Global{fi, &decl});
     }
@@ -169,13 +148,13 @@ void check_global_mutable_state(const Project& project, const CallGraph& graph,
     for (const ParsedDecl& decl : parsed.decls) {
       if (decl.name_index <= fn.body_begin || decl.name_index >= fn.body_end)
         continue;
-      if (!check::decl_type_has(decl, "static")) continue;
-      if (check::decl_type_has(decl, "const") ||
-          check::decl_type_has(decl, "constexpr"))
+      if (!decl_type_has(decl, "static")) continue;
+      if (decl_type_has(decl, "const") ||
+          decl_type_has(decl, "constexpr"))
         continue;
       bool safe = false;
       for (const std::string_view t : kSafeGlobalTypes)
-        if (check::decl_type_has(decl, t)) safe = true;
+        if (decl_type_has(decl, t)) safe = true;
       if (safe) continue;
       report(static_cast<std::size_t>(node.file), decl.line,
              "global-mutable-state",
@@ -213,109 +192,6 @@ void check_global_mutable_state(const Project& project, const CallGraph& graph,
                  "justify with ntr-global-mutable-state(<why>)");
     }
   }
-}
-
-// --------------------------------------------------- alloc-in-hot-path
-
-/// True when the token at `index` sits inside a `throw` expression: a
-/// `throw` keyword appears between the previous statement boundary
-/// (';', '{', '}') and the token. Allocations there are exempt -- the
-/// program is already leaving the hot path on a cold error exit, and
-/// error messages are exactly where strings belong.
-bool in_throw(const std::vector<Token>& toks, std::size_t index) {
-  for (std::size_t k = index; k-- > 0;) {
-    const Token& t = toks[k];
-    if (t.kind == TokenKind::kPunct &&
-        (t.text == ";" || t.text == "{" || t.text == "}"))
-      return false;
-    if (t.kind == TokenKind::kIdentifier && t.text == "throw") return true;
-  }
-  return false;
-}
-
-/// Reports every allocation construct inside the body of `node`:
-/// `new`, make_unique/make_shared, container growth without a visible
-/// same-receiver capacity call, and string construction. Constructs
-/// inside a `throw` expression are skipped (see `in_throw`).
-void scan_allocations(const Project& project, const CallGraph& graph,
-                      const std::vector<int>& reach, std::size_t n,
-                      const Reporter& report) {
-  const CallGraphNode& node = graph.nodes[n];
-  const std::size_t fi = static_cast<std::size_t>(node.file);
-  const ParsedSource& parsed = project.files[fi].parsed;
-  const ParsedFunction& fn = parsed.functions[static_cast<std::size_t>(node.fn)];
-  const std::vector<Token>& toks = project.files[fi].lexed.tokens;
-  const std::string via = " in '" + node.qualified + "' (hot via '" +
-                          witness(graph, reach, static_cast<int>(n)) +
-                          "'); justify with ntr-alloc-in-hot-path(<why>) if "
-                          "deliberate";
-
-  for (std::size_t k = fn.body_begin; k < fn.body_end && k < toks.size(); ++k) {
-    if (toks[k].kind == TokenKind::kIdentifier && toks[k].text == "new" &&
-        !in_throw(toks, k))
-      report(fi, toks[k].line, "alloc-in-hot-path",
-             "'new' allocates on a hot path" + via);
-  }
-
-  for (const ParsedCall& call : parsed.calls) {
-    if (call.name_index <= fn.body_begin || call.name_index >= fn.body_end)
-      continue;
-    if (in_throw(toks, call.name_index)) continue;
-    if (in_set(kAllocMakers, std::string_view(call.callee))) {
-      report(fi, call.line, "alloc-in-hot-path",
-             "'" + call.callee + "' allocates on a hot path" + via);
-      continue;
-    }
-    if (call.member_call && in_set(kGrowthCalls, std::string_view(call.callee))) {
-      bool reserved = false;
-      for (const ParsedCall& r : parsed.calls) {
-        if (!in_set(kCapacityCalls, std::string_view(r.callee)) ||
-            !r.member_call)
-          continue;
-        if (r.name_index <= fn.body_begin || r.name_index >= fn.body_end)
-          continue;
-        if (r.receiver == call.receiver || call.receiver.empty() ||
-            r.receiver.empty())
-          reserved = true;
-      }
-      if (!reserved)
-        report(fi, call.line, "alloc-in-hot-path",
-               "'" + call.callee + "' on '" +
-                   (call.receiver.empty() ? std::string("<expr>")
-                                          : call.receiver) +
-                   "' grows a container with no visible reserve" + via);
-      continue;
-    }
-    if (call.callee == "to_string" || call.callee == "string")
-      report(fi, call.line, "alloc-in-hot-path",
-             "'" + call.callee + "' constructs a string on a hot path" + via);
-  }
-
-  for (const ParsedDecl& decl : parsed.decls) {
-    if (decl.name_index <= fn.body_begin || decl.name_index >= fn.body_end)
-      continue;
-    if (in_throw(toks, decl.name_index)) continue;
-    if (!check::decl_type_has(decl, "string")) continue;
-    if (check::decl_type_has(decl, "string_view") ||
-        check::decl_type_has(decl, "&"))
-      continue;
-    report(fi, decl.line, "alloc-in-hot-path",
-           "local '" + decl.name + "' constructs a string on a hot path" + via);
-  }
-}
-
-void check_alloc_in_hot_path(const Project& project, const CallGraph& graph,
-                             const Reporter& report) {
-  std::vector<int> roots;
-  for (std::size_t n = 0; n < graph.nodes.size(); ++n)
-    if (graph.nodes[n].hot &&
-        project.files[static_cast<std::size_t>(graph.nodes[n].file)]
-            .path.starts_with("src/"))
-      roots.push_back(static_cast<int>(n));
-  const std::vector<int> reach = graph.reach_from(project, roots, true);
-  for (std::size_t n = 0; n < graph.nodes.size(); ++n)
-    if (reach[n] >= 0 && graph.nodes[n].has_body)
-      scan_allocations(project, graph, reach, n, report);
 }
 
 // --------------------------------------------------- blocking-in-lane
@@ -363,9 +239,9 @@ void scan_blocking(const Project& project, std::size_t fi, std::size_t begin,
     if (decl.name_index <= begin || decl.name_index >= end) continue;
     bool hit = false;
     for (const std::string_view t : kFileStreamTypes)
-      if (check::decl_type_has(decl, t)) hit = true;
+      if (decl_type_has(decl, t)) hit = true;
     for (const std::string_view t : kLockTypes)
-      if (check::decl_type_has(decl, t)) hit = true;
+      if (decl_type_has(decl, t)) hit = true;
     if (hit)
       report(fi, decl.line, "blocking-in-lane",
              "blocking construct '" + decl.name + "'" + tail);
@@ -428,20 +304,19 @@ void check_blocking_in_lane(const Project& project, const CallGraph& graph,
 
 }  // namespace
 
-std::vector<check::LintDiagnostic> check_reentrancy(
+std::vector<LintDiagnostic> check_reentrancy(
     const Project& project, const CallGraph& graph,
     const std::vector<std::string>& entries) {
-  std::vector<check::LintDiagnostic> out;
+  std::vector<LintDiagnostic> out;
   const Reporter report{project, out};
 
   std::vector<std::string> roots = entries;
   if (roots.empty()) roots = {"run_timing_flow", "ldrg"};
   check_global_mutable_state(project, graph, roots, report);
-  check_alloc_in_hot_path(project, graph, report);
   check_blocking_in_lane(project, graph, report);
 
   std::sort(out.begin(), out.end(),
-            [](const check::LintDiagnostic& a, const check::LintDiagnostic& b) {
+            [](const LintDiagnostic& a, const LintDiagnostic& b) {
               return std::tie(a.file, a.line, a.rule, a.message) <
                      std::tie(b.file, b.line, b.rule, b.message);
             });

@@ -21,10 +21,11 @@ void walk(const std::filesystem::path& dir,
   std::sort(entries.begin(), entries.end());
   for (const std::filesystem::path& p : entries) {
     const std::string name = p.filename().string();
+    // Hidden entries include editor lock files (Emacs's `.#x.cpp` is a
+    // dangling symlink), which must not read as unreadable sources.
+    if (name.empty() || name.front() == '.') continue;
     if (std::filesystem::is_directory(p)) {
-      if (name.empty() || name.front() == '.' || name.starts_with("build") ||
-          name == "lint_fixtures" || name == "analyze_fixtures")
-        continue;
+      if (name.starts_with("build") || name == "analyze_fixtures") continue;
       walk(p, files);
     } else if (scannable(p)) {
       files.push_back(p);
@@ -90,7 +91,8 @@ std::string module_of(std::string_view relpath) {
 }
 
 Project load_project(const std::filesystem::path& root,
-                     std::span<const std::filesystem::path> paths) {
+                     std::span<const std::filesystem::path> paths,
+                     std::string& error) {
   Project project;
   project.root = root;
 
@@ -110,13 +112,15 @@ Project load_project(const std::filesystem::path& root,
     const std::string ext = f.extension().string();
     sf.is_header = ext == ".h" || ext == ".hpp";
     std::ifstream in(f, std::ios::binary);
-    if (in) {
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      sf.content = buffer.str();
+    if (!in) {
+      error = "cannot read file: " + sf.path;
+      return project;
     }
-    sf.lexed = check::lex_source(sf.content);
-    sf.parsed = check::parse_source(sf.lexed);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    sf.content = buffer.str();
+    sf.lexed = lex_source(sf.content);
+    sf.parsed = parse_source(sf.lexed);
     project.files.push_back(std::move(sf));
   }
   std::sort(project.files.begin(), project.files.end(),
@@ -137,7 +141,7 @@ Project load_project(const std::filesystem::path& root,
   for (SourceFile& sf : project.files) {
     sf.resolved_includes.reserve(sf.lexed.includes.size());
     const std::string dir = dirname(sf.path);
-    for (const check::IncludeDirective& inc : sf.lexed.includes) {
+    for (const IncludeDirective& inc : sf.lexed.includes) {
       int target = -1;
       if (!inc.angled) {
         for (const std::string& candidate :

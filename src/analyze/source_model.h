@@ -8,8 +8,8 @@
 #include <string_view>
 #include <vector>
 
-#include "check/cpp_lexer.h"
-#include "check/cpp_parser.h"
+#include "analyze/cpp_lexer.h"
+#include "analyze/cpp_parser.h"
 
 namespace ntr::analyze {
 
@@ -20,11 +20,11 @@ struct SourceFile {
   std::string module_name;  ///< "core", "graph", ..., "tools", "tests", "ntr"
   bool is_header = false;
   std::string content;      ///< raw bytes, for suppression lookups
-  check::LexedSource lexed;
+  LexedSource lexed;
   /// The scope-aware parse of `lexed`, built once at load time and shared
   /// by every pass that needs it (dataflow, call graph, reachability) so
   /// no pass re-lexes or re-parses a file.
-  check::ParsedSource parsed;
+  ParsedSource parsed;
   /// Parallel to lexed.includes: index into Project::files of the target,
   /// or -1 for system/external headers (and unresolved paths).
   std::vector<int> resolved_includes;
@@ -45,7 +45,8 @@ struct Project {
 
  private:
   friend Project load_project(const std::filesystem::path&,
-                              std::span<const std::filesystem::path>);
+                              std::span<const std::filesystem::path>,
+                              std::string&);
   std::map<std::string, int, std::less<>> index_;
 };
 
@@ -57,13 +58,15 @@ struct Project {
 [[nodiscard]] std::string module_of(std::string_view relpath);
 
 /// Walks `paths` (files, or directories scanned recursively for
-/// .h/.hpp/.cc/.cpp; hidden and build* directories and the lint/analyze
-/// fixture corpora are skipped unless passed explicitly), lexes every
-/// file, and resolves quoted includes against (a) the including file's
-/// directory and (b) `<root>/src/<path>` -- the repo's single include
-/// root -- and (c) `<root>/<path>`. Unreadable files get an "io" finding
-/// later; here they simply produce an empty lex.
+/// .h/.hpp/.cc/.cpp; hidden files and directories, build* directories and
+/// the fixture corpus are skipped unless passed explicitly), lexes and
+/// parses every file, and resolves quoted includes against (a) the
+/// including file's directory and (b) `<root>/src/<path>` -- the repo's
+/// single include root -- and (c) `<root>/<path>`. A file that cannot be
+/// read sets `error` naming it: a scan that silently skipped it would
+/// report the tree clean.
 [[nodiscard]] Project load_project(const std::filesystem::path& root,
-                                   std::span<const std::filesystem::path> paths);
+                                   std::span<const std::filesystem::path> paths,
+                                   std::string& error);
 
 }  // namespace ntr::analyze

@@ -8,20 +8,12 @@
 #include <tuple>
 #include <utility>
 
-#include "check/cpp_lexer.h"
-#include "check/cpp_parser.h"
+#include "analyze/cpp_lexer.h"
+#include "analyze/cpp_parser.h"
 
 namespace ntr::analyze {
 
 namespace {
-
-using check::ParsedCall;
-using check::ParsedDecl;
-using check::ParsedFunction;
-using check::ParsedLambda;
-using check::ParsedSource;
-using check::Token;
-using check::TokenKind;
 
 template <std::size_t N>
 bool in_set(const std::array<std::string_view, N>& set, std::string_view s) {
@@ -134,18 +126,18 @@ bool justified(const Project& project, std::size_t file, std::size_t line,
 
 struct Reporter {
   const Project& project;
-  std::vector<check::LintDiagnostic>& out;
+  std::vector<LintDiagnostic>& out;
 
   void operator()(std::size_t file, std::size_t line, std::string_view rule,
                   std::string message) const {
     const SourceFile& sf = project.files[file];
     if (!sf.path.starts_with("src/")) return;
-    if (check::lint_suppressed(project.raw_line(file, line), sf.content,
-                               rule))
+    if (lint_suppressed(project.raw_line(file, line), sf.content,
+                        rule))
       return;
     if (justified(project, file, line, rule)) return;
-    out.push_back(check::LintDiagnostic{sf.path, line, std::string(rule),
-                                        std::move(message)});
+    out.push_back(LintDiagnostic{sf.path, line, std::string(rule),
+                                 std::move(message)});
   }
 };
 
@@ -248,9 +240,6 @@ struct Pass {
   }
   void add_edge(const std::string& from, const std::string& to,
                 const std::string& label, bool hot) {
-    // The hot edge is an add_edge() name collision with the routing
-    // graph's builder; this one runs in the analyzer, never per element.
-    // ntr-alloc-in-hot-path(taint flow-graph builder, analyze layer only)
     auto [it, inserted] = gedges.emplace(std::make_tuple(from, to, label), hot);
     if (!inserted) it->second = it->second || hot;
   }
@@ -286,7 +275,7 @@ struct Pass {
   const ParsedDecl* arg_root(const FnCtx& ctx,
                              std::pair<std::size_t, std::size_t> range) const;
   Summary compute(const FnCtx& ctx, bool report_pass,
-                  std::vector<check::LintDiagnostic>* findings);
+                  std::vector<LintDiagnostic>* findings);
 };
 
 /// Splits a call's argument list at top-level commas into token ranges.
@@ -482,7 +471,7 @@ std::size_t init_end(const std::vector<Token>& toks, std::size_t from,
 /// flow-insensitive by construction), then the sink and return scans
 /// over the final environment.
 Summary Pass::compute(const FnCtx& ctx, bool report_pass,
-                      std::vector<check::LintDiagnostic>* findings) {
+                      std::vector<LintDiagnostic>* findings) {
   Summary sum;
   if (ctx.skip || ctx.fn == nullptr) return sum;
   const std::vector<Token>& toks = *ctx.toks;
@@ -917,10 +906,10 @@ bool summaries_equal(const Summary& a, const Summary& b) {
 
 }  // namespace
 
-std::vector<check::LintDiagnostic> check_taint(const Project& project,
-                                               const CallGraph& graph,
-                                               TaintGraph* out_graph) {
-  std::vector<check::LintDiagnostic> out;
+std::vector<LintDiagnostic> check_taint(const Project& project,
+                                        const CallGraph& graph,
+                                        TaintGraph* out_graph) {
+  std::vector<LintDiagnostic> out;
   Pass pass{project, graph, Reporter{project, out}};
 
   pass.call_at.resize(project.files.size());
@@ -969,7 +958,7 @@ std::vector<check::LintDiagnostic> check_taint(const Project& project,
 
   std::stable_sort(
       out.begin(), out.end(),
-      [](const check::LintDiagnostic& a, const check::LintDiagnostic& b) {
+      [](const LintDiagnostic& a, const LintDiagnostic& b) {
         return std::tie(a.file, a.line, a.rule, a.message) <
                std::tie(b.file, b.line, b.rule, b.message);
       });

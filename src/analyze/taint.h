@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "analyze/callgraph.h"
+#include "analyze/lint.h"
 #include "analyze/source_model.h"
-#include "check/lint.h"
 
 namespace ntr::analyze {
 
@@ -65,7 +65,7 @@ struct TaintGraph {
 /// Runs the full taint analysis. Findings are sorted by (file, line,
 /// rule, message); `out_graph`, when non-null, receives the taint-flow
 /// graph (built even when every path is sanitized or justified away).
-[[nodiscard]] std::vector<check::LintDiagnostic> check_taint(
+[[nodiscard]] std::vector<LintDiagnostic> check_taint(
     const Project& project, const CallGraph& graph, TaintGraph* out_graph);
 
 /// GraphViz DOT rendering of the taint-flow graph: sources as ellipses,

@@ -4,22 +4,6 @@
 /// passes. They expand to nothing: the *token* is the contract, and the
 /// analyzer reads it straight off the parse.
 ///
-/// NTR_HOT marks a function as a hot-path root: it (and everything
-/// transitively reachable from it in the project call graph) must not
-/// allocate per element -- no `new`, no make_unique/make_shared, no
-/// unreserved vector growth, no string construction. The alloc-in-hot-path
-/// pass enforces this; docs/static_analysis.md ("Interprocedural passes")
-/// documents the contract and the `ntr-alloc-in-hot-path(<why>)`
-/// justification grammar for deliberate exceptions (one-time setup,
-/// cached state, cold error paths).
-///
-/// Placement: directly before the function's return type on a definition,
-/// e.g. `NTR_HOT RouteResult ldrg(...) { ... }`. Annotate the engine
-/// entry points that sit on per-candidate or per-timestep loops; callees
-/// inherit hotness through the call graph, so inner helpers stay
-/// unannotated.
-#define NTR_HOT
-
 /// NTR_VALIDATED marks a value -- or a whole function -- as having been
 /// range-checked against untrusted input. The wire-taint pass treats
 /// anything that crosses the network/file/environment boundary (socket
@@ -32,7 +16,7 @@
 /// Placement, either of:
 ///   * in a declaration's type position, marking that one value:
 ///       NTR_VALIDATED std::size_t n = decode_count(frame);
-///   * directly before a function's return type (like NTR_HOT), marking
+///   * directly before a function's return type, marking
 ///     the function as a validation boundary: its return value is
 ///     trusted, and taint passed into it is not tracked through its
 ///     body (the function owns its own checking).

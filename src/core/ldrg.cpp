@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "check/contracts.h"
-#include "core/annotations.h"
 #include "core/horg.h"
 #include "core/wire_sizing.h"
 #include "check/faultinject.h"
@@ -287,12 +286,10 @@ struct GreedyRun {
 
 /// The greedy loop behind ldrg, ldrg_screened, greedy_wire_sizing and
 /// horg_greedy; `who` names the entry point in error messages.
-// NTR_HOT: the per-round candidate scan is the paper's O(n^2) inner
-// loop; everything this reaches must be allocation-disciplined.
-NTR_HOT GreedyRun run_ldrg(const char* who, const graph::RoutingGraph& initial,
-                           const delay::DelayEvaluator& evaluator,
-                           const LdrgOptions& options, const MoveSet& moves,
-                           const Ranking& ranking) {
+GreedyRun run_ldrg(const char* who, const graph::RoutingGraph& initial,
+                   const delay::DelayEvaluator& evaluator,
+                   const LdrgOptions& options, const MoveSet& moves,
+                   const Ranking& ranking) {
   const auto throw_invalid = [who](const char* what) {
     throw std::invalid_argument(std::string(who) + ": " + what);
   };
@@ -344,7 +341,6 @@ NTR_HOT GreedyRun run_ldrg(const char* who, const graph::RoutingGraph& initial,
     run.final_objective = pick->objective;
     run.final_cost = cost_of(run.graph);
     step.cost_after = run.final_cost;
-    // ntr-alloc-in-hot-path(one step per accepted round; the trace IS the result)
     run.steps.push_back(step);
   }
 

@@ -33,11 +33,10 @@ EdgeId RoutingGraph::add_edge(NodeId u, NodeId v) {
   if (u == v) throw std::invalid_argument("RoutingGraph::add_edge: self-loop");
   if (auto existing = find_edge(u, v)) return *existing;
   const double len = geom::manhattan_distance(nodes_[u].pos, nodes_[v].pos);
-  // ntr-alloc-in-hot-path(one edge per accepted LDRG round; amortized growth)
   edges_.push_back(GraphEdge{u, v, len, 1.0});
   const EdgeId id = edges_.size() - 1;
-  adjacency_[u].push_back(id);  // ntr-alloc-in-hot-path(tiny degree list)
-  adjacency_[v].push_back(id);  // ntr-alloc-in-hot-path(tiny degree list)
+  adjacency_[u].push_back(id);
+  adjacency_[v].push_back(id);
   NTR_DCHECK(check::require(validate_graph(*this),
                             "RoutingGraph::add_edge postcondition"));
   return id;
@@ -132,8 +131,8 @@ std::size_t RoutingGraph::cycle_count() const {
 void RoutingGraph::rebuild_adjacency() {
   adjacency_.assign(nodes_.size(), {});
   for (EdgeId e = 0; e < edges_.size(); ++e) {
-    adjacency_[edges_[e].u].push_back(e);  // ntr-alloc-in-hot-path(tiny degree list)
-    adjacency_[edges_[e].v].push_back(e);  // ntr-alloc-in-hot-path(tiny degree list)
+    adjacency_[edges_[e].u].push_back(e);
+    adjacency_[edges_[e].v].push_back(e);
   }
 }
 

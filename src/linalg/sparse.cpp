@@ -9,7 +9,6 @@ namespace ntr::linalg {
 void TripletBuilder::add(std::size_t r, std::size_t c, double v) {
   if (r >= rows_ || c >= cols_)
     throw std::out_of_range("TripletBuilder::add: index out of range");
-  // ntr-alloc-in-hot-path(amortized builder growth; nnz is unknowable up front)
   if (v != 0.0) entries_.push_back({r, c, v});
 }
 

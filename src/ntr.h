@@ -11,7 +11,7 @@
 ///   linalg/   dense LU/Cholesky, CSR + conjugate gradient
 ///   spice/    Table-1 technology, linear netlists, deck I/O, graph->RC
 ///   sim/      MNA, DC/moments, transient engine (the SPICE substitute)
-///   delay/    Elmore (tree + graph), D2M, bounds, Sherman-Morrison
+///   delay/    Elmore (tree + graph), D2M, Sherman-Morrison
 ///             incremental Elmore, pluggable DelayEvaluator
 ///   steiner/  Iterated 1-Steiner
 ///   route/    star/SPT, Prim-Dijkstra, BRBC, ERT/SERT
@@ -30,7 +30,6 @@
 #include "core/ldrg.h"  // IWYU pragma: export
 #include "core/solver.h"  // IWYU pragma: export
 #include "core/wire_sizing.h"  // IWYU pragma: export
-#include "delay/bounds.h"  // IWYU pragma: export
 #include "delay/elmore.h"  // IWYU pragma: export
 #include "delay/evaluator.h"  // IWYU pragma: export
 #include "delay/incremental_elmore.h"  // IWYU pragma: export

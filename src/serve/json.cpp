@@ -98,9 +98,6 @@ const Json* Json::find(std::string_view key) const {
 void Json::push_back(Json v) {
   if (kind_ == Kind::kNull) kind_ = Kind::kArray;
   if (kind_ != Kind::kArray) kind_error("an array");
-  // The solver never builds documents; the hot edge is a push_back() name
-  // collision with the candidate scan's std::vector.
-  // ntr-alloc-in-hot-path(JSON builder, serve layer only)
   items_.push_back(std::move(v));
 }
 

@@ -113,9 +113,8 @@ class RcEngine final : public TransientEngine {
   [[nodiscard]] std::unique_ptr<const CompanionModels> companions(
       double h, bool need_be, bool need_trap) const override {
     auto k = std::make_unique<Steps>();
-    // ntr-alloc-in-hot-path(set-up of one march, before its first step)
+    // Set-up of one march, before its first step.
     if (need_be) k->be.emplace(method(h, /*trapezoidal=*/false));
-    // ntr-alloc-in-hot-path(set-up of one march, before its first step)
     if (need_trap) k->trap.emplace(method(h, /*trapezoidal=*/true));
     return k;
   }
@@ -186,9 +185,8 @@ class MnaEngine final : public TransientEngine {
   [[nodiscard]] std::unique_ptr<const CompanionModels> companions(
       double h, bool need_be, bool need_trap) const override {
     auto k = std::make_unique<Steps>(mna_, h);
-    // ntr-alloc-in-hot-path(set-up of one march, before its first step)
+    // Set-up of one march, before its first step.
     if (need_be) k->be.emplace(companion_matrix(mna_, 1.0 / h));
-    // ntr-alloc-in-hot-path(set-up of one march, before its first step)
     if (need_trap) k->trap.emplace(companion_matrix(mna_, 2.0 / h));
     return k;
   }

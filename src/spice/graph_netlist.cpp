@@ -31,7 +31,7 @@ GraphNetlist build_netlist(const graph::RoutingGraph& g, const Technology& tech,
   out.graph_to_circuit.reserve(g.node_count());
   out.sink_graph_nodes.reserve(g.node_count());
   for (graph::NodeId n = 0; n < g.node_count(); ++n) {
-    // ntr-alloc-in-hot-path(node names are the Circuit debug contract)
+    // Node and element names are the Circuit debug contract.
     out.graph_to_circuit.push_back(ckt.add_node("n" + std::to_string(n)));
   }
 
@@ -45,7 +45,6 @@ GraphNetlist build_netlist(const graph::RoutingGraph& g, const Technology& tech,
   // Wires: chains of lumped pi sections.
   for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
     const graph::GraphEdge& edge = g.edge(e);
-    // ntr-alloc-in-hot-path(edge tag seeds every element name below)
     const std::string tag = std::to_string(e);
     const CircuitNode head = out.graph_to_circuit[edge.u];
     const CircuitNode tail = out.graph_to_circuit[edge.v];
@@ -66,13 +65,10 @@ GraphNetlist build_netlist(const graph::RoutingGraph& g, const Technology& tech,
       const CircuitNode next =
           s + 1 == sections
               ? tail
-              // ntr-alloc-in-hot-path(pi-section node name; debug contract)
               : ckt.add_node("e" + tag + "s" + std::to_string(s));
-      // ntr-alloc-in-hot-path(element name tag; Circuit debug contract)
       const std::string seg_tag = tag + "_" + std::to_string(s);
       ckt.add_capacitor("Cw" + seg_tag + "a", prev, kGround, seg_c / 2.0);
       if (options.include_inductance) {
-        // ntr-alloc-in-hot-path(inductor mid-node name; debug contract)
         const CircuitNode mid = ckt.add_node("e" + tag + "l" + std::to_string(s));
         ckt.add_resistor("Rw" + seg_tag, prev, mid, seg_r);
         ckt.add_inductor("Lw" + seg_tag, mid, next, seg_l);
@@ -90,7 +86,6 @@ GraphNetlist build_netlist(const graph::RoutingGraph& g, const Technology& tech,
     const bool is_loaded_source =
         options.load_source_pin && g.node(n).kind == graph::NodeKind::kSource;
     if (is_sink || is_loaded_source) {
-      // ntr-alloc-in-hot-path(load element name; Circuit debug contract)
       ckt.add_capacitor("Cload" + std::to_string(n), out.graph_to_circuit[n], kGround,
                         tech.sink_capacitance_f);
     }

@@ -1,8 +1,13 @@
 // Counts heap allocations with a replaced global operator new, so it is a
-// binary of its own. LDRG's Elmore ranking allocates per round, never per
-// candidate: bounded scorer queries allocate nothing, and a one-edge LDRG
-// makes exactly as many allocations whether its budget admits every
-// absent pair or about a tenth of them.
+// binary of its own. It pins the two loops whose per-element cost the
+// paper's greedy search multiplies:
+//   - the transient march of an RC deck allocates its workspace once, so
+//     a march that takes ten times the steps makes exactly as many
+//     allocations;
+//   - LDRG's Elmore ranking allocates per round, never per candidate:
+//     bounded scorer queries allocate nothing, and a one-edge LDRG makes
+//     exactly as many allocations whether its budget admits every absent
+//     pair or about a tenth of them.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +26,9 @@
 #include "expt/net_generator.h"
 #include "geom/point.h"
 #include "graph/routing_graph.h"
+#include "sim/transient.h"
+#include "spice/graph_netlist.h"
+#include "spice/technology.h"
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
@@ -38,6 +46,34 @@ namespace ntr {
 namespace {
 
 const spice::Technology kTech = spice::kTable1Technology;
+
+// ------------------------------------------------------------- the march
+
+TEST(TransientAllocations, MarchAllocatesNothingPerStep) {
+  const graph::RoutingGraph g = graph::mst_routing(expt::NetGenerator(7).random_net(20));
+  const spice::GraphNetlist netlist = spice::build_netlist(g, kTech);
+  std::vector<spice::CircuitNode> watch;
+  for (const graph::NodeId n : netlist.sink_graph_nodes)
+    watch.push_back(netlist.graph_to_circuit[n]);
+
+  // Allocations made by measure_crossings on a fresh simulator that gives
+  // up after `steps` steps of its own time step.
+  const auto allocations_of = [&](double steps) {
+    sim::TransientSimulator simulator(netlist.circuit);
+    const double give_up_s = steps * simulator.time_step();
+    const std::size_t before = g_allocations.load();
+    const auto report = simulator.measure_crossings(watch, 0.5, give_up_s);
+    const std::size_t made = g_allocations.load() - before;
+    EXPECT_FALSE(report.all_crossed) << "the cutoff must end the march";
+    return made;
+  };
+  const std::size_t short_march = allocations_of(10.0);
+  const std::size_t long_march = allocations_of(100.0);
+  EXPECT_GT(short_march, 0u) << "the counting operator new is not in use";
+  EXPECT_EQ(short_march, long_march);
+}
+
+// ------------------------------------------------------ the LDRG ranking
 
 std::vector<std::pair<graph::NodeId, graph::NodeId>> absent_pairs(
     const graph::RoutingGraph& g) {

@@ -5,7 +5,7 @@
 namespace fix::engine {
 
 void run_lanes_clean(std::size_t n) {
-  std::cout << n;
+  std::cerr << n;
   parallel_chunks(nullptr, n,
                   [](std::size_t, std::size_t begin, std::size_t end) {
                     // ntr-blocking-in-lane(one-time startup handshake)

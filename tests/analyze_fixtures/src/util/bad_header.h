@@ -1,6 +1,6 @@
 // Lint fixture: header missing #pragma once and polluting includers with
-// a namespace. Never compiled; exists so the linter's own test (and the
-// WILL_FAIL ctest entry) can prove the rules fire.
+// a namespace. Never compiled; exists so the analyzer's fixture test (and
+// the WILL_FAIL ctest entry) can prove the rules fire.
 
 using namespace std;
 

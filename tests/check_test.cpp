@@ -1,7 +1,7 @@
 // Tests for the correctness-tooling layer: contract macros and their
-// failure policies, the structural validators, and the ntr_lint rules
-// (both on inline snippets and on the seeded-violation fixture corpus in
-// tests/lint_fixtures/).
+// failure policies, the structural validators, and ntr_analyze's lint
+// rules (both on inline snippets and on the seeded-violation fixture
+// corpus in tests/analyze_fixtures/).
 
 #include <gtest/gtest.h>
 
@@ -10,8 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "analyze/analyze.h"
+#include "analyze/lint.h"
 #include "check/contracts.h"
-#include "check/lint.h"
 #include "graph/validate.h"
 #include "sim/validate.h"
 #include "sta/validate.h"
@@ -22,8 +23,8 @@
 
 namespace {
 
+using ntr::analyze::LintDiagnostic;
 using ntr::check::ContractViolation;
-using ntr::check::LintDiagnostic;
 using ntr::check::Policy;
 using ntr::check::ValidationReport;
 
@@ -282,19 +283,38 @@ bool flags_rule(const std::vector<LintDiagnostic>& ds, const std::string& rule) 
   return false;
 }
 
+const std::vector<std::string> kLintRules = {
+    "raw-assert",    "pragma-once",     "using-namespace-header",
+    "unseeded-rng",  "cout-in-library", "untyped-throw",
+    "raw-mutex-lock", "unchecked-narrowing"};
+
+std::filesystem::path fixture_root() {
+  return std::filesystem::path(NTR_TEST_SOURCE_DIR) / "analyze_fixtures";
+}
+
+/// An ntr_analyze run over the fixture corpus restricted to `rules`.
+ntr::analyze::AnalyzeResult lint_fixture(const std::vector<std::string>& rules) {
+  ntr::analyze::AnalyzeOptions options;
+  options.root = fixture_root();
+  options.layer_config_path = fixture_root() / "layering.conf";
+  options.paths = {fixture_root() / "src"};
+  options.only_rules = rules;
+  return ntr::analyze::analyze(options);
+}
+
 TEST_F(CheckTest, LintFlagsRawAssert) {
-  const auto ds = ntr::check::lint_source(
+  const auto ds = ntr::analyze::lint_source(
       "src/geom/foo.cpp", "void f(int x) { assert(x > 0); }\n");
   ASSERT_EQ(ds.size(), 1u) << ::testing::PrintToString(rules_of(ds));
   EXPECT_EQ(ds[0].rule, "raw-assert");
   EXPECT_EQ(ds[0].line, 1u);
   const auto inc =
-      ntr::check::lint_source("src/geom/foo.cpp", "#include <cassert>\n");
+      ntr::analyze::lint_source("src/geom/foo.cpp", "#include <cassert>\n");
   EXPECT_TRUE(flags_rule(inc, "raw-assert"));
 }
 
 TEST_F(CheckTest, LintIgnoresCommentsStringsAndGtestMacros) {
-  EXPECT_TRUE(ntr::check::lint_source("tests/foo_test.cpp",
+  EXPECT_TRUE(ntr::analyze::lint_source("tests/foo_test.cpp",
                                       "// assert(x) in a comment\n"
                                       "/* assert(y) in a block */\n"
                                       "const char* s = \"assert(z)\";\n"
@@ -303,44 +323,44 @@ TEST_F(CheckTest, LintIgnoresCommentsStringsAndGtestMacros) {
 }
 
 TEST_F(CheckTest, LintFlagsHeaderHygiene) {
-  const auto ds = ntr::check::lint_source("src/geom/foo.h",
+  const auto ds = ntr::analyze::lint_source("src/geom/foo.h",
                                           "using namespace std;\n"
                                           "inline int f() { return 1; }\n");
   EXPECT_TRUE(flags_rule(ds, "pragma-once"));
   EXPECT_TRUE(flags_rule(ds, "using-namespace-header"));
-  EXPECT_TRUE(ntr::check::lint_source("src/geom/foo.h",
+  EXPECT_TRUE(ntr::analyze::lint_source("src/geom/foo.h",
                                       "#pragma once\n"
                                       "inline int f() { return 1; }\n")
                   .empty());
   // `using namespace` is a header rule only.
   EXPECT_TRUE(
-      ntr::check::lint_source("src/geom/foo.cpp", "using namespace std;\n")
+      ntr::analyze::lint_source("src/geom/foo.cpp", "using namespace std;\n")
           .empty());
 }
 
 TEST_F(CheckTest, LintFlagsUnseededRngOnlyInCoreAndRoute) {
   const std::string rand_use = "int r = rand() % 6;\n";
   EXPECT_TRUE(flags_rule(
-      ntr::check::lint_source("src/core/foo.cpp", rand_use), "unseeded-rng"));
+      ntr::analyze::lint_source("src/core/foo.cpp", rand_use), "unseeded-rng"));
   EXPECT_TRUE(flags_rule(
-      ntr::check::lint_source("src/route/foo.cpp", rand_use), "unseeded-rng"));
-  EXPECT_TRUE(ntr::check::lint_source("src/delay/foo.cpp", rand_use).empty());
+      ntr::analyze::lint_source("src/route/foo.cpp", rand_use), "unseeded-rng"));
+  EXPECT_TRUE(ntr::analyze::lint_source("src/delay/foo.cpp", rand_use).empty());
 
   EXPECT_TRUE(flags_rule(
-      ntr::check::lint_source("src/core/foo.cpp", "std::mt19937 gen;\n"),
+      ntr::analyze::lint_source("src/core/foo.cpp", "std::mt19937 gen;\n"),
       "unseeded-rng"));
   EXPECT_TRUE(
-      ntr::check::lint_source("src/core/foo.cpp", "std::mt19937 gen(seed);\n")
+      ntr::analyze::lint_source("src/core/foo.cpp", "std::mt19937 gen(seed);\n")
           .empty());
 }
 
 TEST_F(CheckTest, LintFlagsStdoutInLibraryCodeOnly) {
   const std::string print = "std::cout << delay;\n";
-  EXPECT_TRUE(flags_rule(ntr::check::lint_source("src/viz/foo.cpp", print),
+  EXPECT_TRUE(flags_rule(ntr::analyze::lint_source("src/viz/foo.cpp", print),
                          "cout-in-library"));
-  EXPECT_TRUE(ntr::check::lint_source("tools/foo.cpp", print).empty());
+  EXPECT_TRUE(ntr::analyze::lint_source("tools/foo.cpp", print).empty());
   // Formatting into buffers is fine; only bare printf is stdout.
-  EXPECT_TRUE(ntr::check::lint_source(
+  EXPECT_TRUE(ntr::analyze::lint_source(
                   "src/spice/foo.cpp",
                   "std::snprintf(buf, sizeof(buf), \"%g\", v);\n")
                   .empty());
@@ -348,26 +368,26 @@ TEST_F(CheckTest, LintFlagsStdoutInLibraryCodeOnly) {
 
 TEST_F(CheckTest, LintFlagsUntypedThrowOnHotPathsOnly) {
   const std::string bad = "throw std::runtime_error(\"singular\");\n";
-  EXPECT_TRUE(flags_rule(ntr::check::lint_source("src/core/foo.cpp", bad),
+  EXPECT_TRUE(flags_rule(ntr::analyze::lint_source("src/core/foo.cpp", bad),
                          "untyped-throw"));
-  EXPECT_TRUE(flags_rule(ntr::check::lint_source("src/sim/foo.cpp", bad),
+  EXPECT_TRUE(flags_rule(ntr::analyze::lint_source("src/sim/foo.cpp", bad),
                          "untyped-throw"));
-  EXPECT_TRUE(flags_rule(ntr::check::lint_source("src/linalg/foo.cpp", bad),
+  EXPECT_TRUE(flags_rule(ntr::analyze::lint_source("src/linalg/foo.cpp", bad),
                          "untyped-throw"));
-  EXPECT_TRUE(flags_rule(ntr::check::lint_source("src/flow/foo.cpp", bad),
+  EXPECT_TRUE(flags_rule(ntr::analyze::lint_source("src/flow/foo.cpp", bad),
                          "untyped-throw"));
-  EXPECT_TRUE(flags_rule(ntr::check::lint_source("src/runtime/foo.cpp", bad),
+  EXPECT_TRUE(flags_rule(ntr::analyze::lint_source("src/runtime/foo.cpp", bad),
                          "untyped-throw"));
-  EXPECT_TRUE(flags_rule(ntr::check::lint_source("src/delay/foo.cpp", bad),
+  EXPECT_TRUE(flags_rule(ntr::analyze::lint_source("src/delay/foo.cpp", bad),
                          "untyped-throw"));
   // Cold paths (viz, tools) and typed throws are out of scope.
-  EXPECT_TRUE(ntr::check::lint_source("src/viz/foo.cpp", bad).empty());
-  EXPECT_TRUE(ntr::check::lint_source(
+  EXPECT_TRUE(ntr::analyze::lint_source("src/viz/foo.cpp", bad).empty());
+  EXPECT_TRUE(ntr::analyze::lint_source(
                   "src/sim/foo.cpp",
                   "throw runtime::NtrError(code, \"singular\");\n")
                   .empty());
   // Mentioning the type in a doc comment is fine.
-  EXPECT_TRUE(ntr::check::lint_source(
+  EXPECT_TRUE(ntr::analyze::lint_source(
                   "src/sim/foo.h",
                   "#pragma once\n"
                   "/// Throws std::runtime_error on failure.\n")
@@ -378,21 +398,21 @@ TEST_F(CheckTest, LintFlagsUncheckedNarrowingInServeOnly) {
   const std::string size_cast =
       "header = static_cast<std::uint32_t>(payload.size());\n";
   const std::string wire_cast = "code = static_cast<int>(v->as_number());\n";
-  EXPECT_TRUE(flags_rule(ntr::check::lint_source("src/serve/foo.cpp", size_cast),
+  EXPECT_TRUE(flags_rule(ntr::analyze::lint_source("src/serve/foo.cpp", size_cast),
                          "unchecked-narrowing"));
-  EXPECT_TRUE(flags_rule(ntr::check::lint_source("src/serve/foo.cpp", wire_cast),
+  EXPECT_TRUE(flags_rule(ntr::analyze::lint_source("src/serve/foo.cpp", wire_cast),
                          "unchecked-narrowing"));
   // Other layers are out of scope, as are widening casts and casts of
   // already-clamped named values.
-  EXPECT_TRUE(ntr::check::lint_source("src/io/foo.cpp", size_cast).empty());
-  EXPECT_TRUE(ntr::check::lint_source(
+  EXPECT_TRUE(ntr::analyze::lint_source("src/io/foo.cpp", size_cast).empty());
+  EXPECT_TRUE(ntr::analyze::lint_source(
                   "src/serve/foo.cpp",
                   "n = static_cast<std::uint64_t>(payload.size());\n")
                   .empty());
-  EXPECT_TRUE(ntr::check::lint_source("src/serve/foo.cpp",
+  EXPECT_TRUE(ntr::analyze::lint_source("src/serve/foo.cpp",
                                       "code = static_cast<int>(clamped);\n")
                   .empty());
-  EXPECT_TRUE(ntr::check::lint_source(
+  EXPECT_TRUE(ntr::analyze::lint_source(
                   "src/serve/foo.cpp",
                   "n = static_cast<int>(x.size());  "
                   "// ntr-lint-allow(unchecked-narrowing)\n")
@@ -400,47 +420,46 @@ TEST_F(CheckTest, LintFlagsUncheckedNarrowingInServeOnly) {
 }
 
 TEST_F(CheckTest, LintNarrowingFixtureTwinsDisagree) {
-  const std::filesystem::path tests_dir = NTR_TEST_SOURCE_DIR;
-  const std::filesystem::path root = tests_dir.parent_path();
-  const std::filesystem::path serve_dir =
-      tests_dir / "lint_fixtures" / "src" / "serve";
-  const std::filesystem::path bad[] = {serve_dir / "bad_narrowing.cpp"};
-  const std::filesystem::path ok[] = {serve_dir / "ok_narrowing.cpp"};
-  const auto bad_ds = ntr::check::lint_paths(root, bad);
-  EXPECT_EQ(bad_ds.size(), 2u);
-  for (const LintDiagnostic& d : bad_ds) EXPECT_EQ(d.rule, "unchecked-narrowing");
-  EXPECT_TRUE(ntr::check::lint_paths(root, ok).empty());
+  const ntr::analyze::AnalyzeResult result =
+      lint_fixture({"unchecked-narrowing"});
+  ASSERT_TRUE(result.error.empty()) << result.error;
+  std::size_t bad = 0;
+  for (const LintDiagnostic& d : result.findings) {
+    EXPECT_NE(d.file, "src/serve/ok_narrowing.cpp") << d.line;
+    bad += d.file == "src/serve/bad_narrowing.cpp";
+  }
+  EXPECT_EQ(bad, 2u);
 }
 
 TEST_F(CheckTest, LintFlagsRawMutexLockInLibraryCodeOnly) {
   EXPECT_TRUE(flags_rule(
-      ntr::check::lint_source("src/serve/foo.cpp", "mu.lock();\n"),
+      ntr::analyze::lint_source("src/serve/foo.cpp", "mu.lock();\n"),
       "raw-mutex-lock"));
   EXPECT_TRUE(flags_rule(
-      ntr::check::lint_source("src/core/foo.cpp", "impl_->mutex.unlock();\n"),
+      ntr::analyze::lint_source("src/core/foo.cpp", "impl_->mutex.unlock();\n"),
       "raw-mutex-lock"));
   // Outside src/ the rule is silent; so are RAII declarations named
   // `lock`, try_lock probes, and suppressed lines.
-  EXPECT_TRUE(ntr::check::lint_source("tools/foo.cpp", "mu.lock();\n").empty());
-  EXPECT_TRUE(ntr::check::lint_source(
+  EXPECT_TRUE(ntr::analyze::lint_source("tools/foo.cpp", "mu.lock();\n").empty());
+  EXPECT_TRUE(ntr::analyze::lint_source(
                   "src/serve/foo.cpp",
                   "std::lock_guard<std::mutex> lock(mu);\n")
                   .empty());
-  EXPECT_TRUE(ntr::check::lint_source("src/serve/foo.cpp",
+  EXPECT_TRUE(ntr::analyze::lint_source("src/serve/foo.cpp",
                                       "if (mu.try_lock()) return;\n")
                   .empty());
-  EXPECT_TRUE(ntr::check::lint_source(
+  EXPECT_TRUE(ntr::analyze::lint_source(
                   "src/serve/foo.cpp",
                   "mu.lock();  // ntr-lint-allow(raw-mutex-lock)\n")
                   .empty());
 }
 
 TEST_F(CheckTest, LintSuppressionComments) {
-  EXPECT_TRUE(ntr::check::lint_source(
+  EXPECT_TRUE(ntr::analyze::lint_source(
                   "src/core/foo.cpp",
                   "int r = rand();  // ntr-lint-allow(unseeded-rng)\n")
                   .empty());
-  EXPECT_TRUE(ntr::check::lint_source(
+  EXPECT_TRUE(ntr::analyze::lint_source(
                   "src/core/foo.cpp",
                   "// ntr-lint-allow-file(unseeded-rng)\n"
                   "int r = rand();\n"
@@ -450,30 +469,31 @@ TEST_F(CheckTest, LintSuppressionComments) {
 
 TEST_F(CheckTest, LintFormatIsClickable) {
   const LintDiagnostic d{"src/core/foo.cpp", 12, "unseeded-rng", "msg"};
-  EXPECT_EQ(ntr::check::format(d), "src/core/foo.cpp:12: [unseeded-rng] msg");
+  EXPECT_EQ(ntr::analyze::format(d), "src/core/foo.cpp:12: [unseeded-rng] msg");
 }
 
 // ---------------------------------------------------- lint: fixture corpus
 
 TEST_F(CheckTest, LintDetectsEverySeededFixtureViolation) {
-  const std::filesystem::path tests_dir = NTR_TEST_SOURCE_DIR;
-  const std::filesystem::path root = tests_dir.parent_path();
-  const std::filesystem::path fixtures[] = {tests_dir / "lint_fixtures"};
-  const auto ds = ntr::check::lint_paths(root, fixtures);
-  for (const char* rule : {"raw-assert", "pragma-once", "using-namespace-header",
-                           "unseeded-rng", "cout-in-library", "untyped-throw",
-                           "raw-mutex-lock", "unchecked-narrowing"}) {
-    EXPECT_TRUE(flags_rule(ds, rule)) << "fixture corpus missing rule " << rule;
+  const ntr::analyze::AnalyzeResult result = lint_fixture(kLintRules);
+  ASSERT_TRUE(result.error.empty()) << result.error;
+  for (const std::string& rule : kLintRules) {
+    EXPECT_TRUE(flags_rule(result.findings, rule))
+        << "fixture corpus missing rule " << rule;
   }
-  for (const LintDiagnostic& d : ds) EXPECT_NE(d.rule, "io") << d.file;
 }
 
 TEST_F(CheckTest, LintPassesOnTheRealSources) {
-  const std::filesystem::path tests_dir = NTR_TEST_SOURCE_DIR;
-  const std::filesystem::path root = tests_dir.parent_path();
-  const std::filesystem::path paths[] = {root / "src", root / "tests"};
-  const auto ds = ntr::check::lint_paths(root, paths);
-  for (const LintDiagnostic& d : ds) ADD_FAILURE() << ntr::check::format(d);
+  const std::filesystem::path root =
+      std::filesystem::path(NTR_TEST_SOURCE_DIR).parent_path();
+  ntr::analyze::AnalyzeOptions options;
+  options.root = root;
+  options.paths = {root / "src", root / "tools", root / "tests"};
+  options.only_rules = kLintRules;
+  const ntr::analyze::AnalyzeResult result = ntr::analyze::analyze(options);
+  ASSERT_TRUE(result.error.empty()) << result.error;
+  for (const LintDiagnostic& d : result.findings)
+    ADD_FAILURE() << ntr::analyze::format(d);
 }
 
 }  // namespace

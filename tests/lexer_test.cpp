@@ -1,4 +1,4 @@
-// Edge-case sweep for the shared C++ lexer (check/cpp_lexer.h). The
+// Edge-case sweep for the shared C++ lexer (analyze/cpp_lexer.h). The
 // scope-aware parser and the ntr_analyze semantic passes lean on exactly
 // these behaviors: raw string literals of every delimiter shape,
 // backslash line continuations (in code and inside line comments),
@@ -12,9 +12,9 @@
 #include <string_view>
 #include <vector>
 
-#include "check/cpp_lexer.h"
+#include "analyze/cpp_lexer.h"
 
-namespace ntr::check {
+namespace ntr::analyze {
 namespace {
 
 const Token* find_token(const LexedSource& lexed, std::string_view text) {
@@ -238,4 +238,4 @@ TEST(LexerResilience, IncludesStillResolveAfterEdgeCases) {
 }
 
 }  // namespace
-}  // namespace ntr::check
+}  // namespace ntr::analyze

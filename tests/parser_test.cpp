@@ -1,4 +1,4 @@
-// Unit tests for the scope-aware C++ front end (check/cpp_parser.h) the
+// Unit tests for the scope-aware C++ front end (analyze/cpp_parser.h) the
 // ntr_analyze semantic passes are built on. These pin down the exact
 // recognizer behavior -- function boundaries, scope nesting, coarse
 // declarations, lambda captures, call discardedness -- so a parser
@@ -9,10 +9,10 @@
 #include <string>
 #include <string_view>
 
-#include "check/cpp_lexer.h"
-#include "check/cpp_parser.h"
+#include "analyze/cpp_lexer.h"
+#include "analyze/cpp_parser.h"
 
-namespace ntr::check {
+namespace ntr::analyze {
 namespace {
 
 ParsedSource parse(std::string_view src) {
@@ -573,4 +573,4 @@ TEST(CppParser, DestructorsRecordTheirQualifier) {
 }
 
 }  // namespace
-}  // namespace ntr::check
+}  // namespace ntr::analyze

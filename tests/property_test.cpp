@@ -7,7 +7,6 @@
 
 #include <random>
 
-#include "delay/bounds.h"
 #include "delay/elmore.h"
 #include "delay/evaluator.h"
 #include "delay/incremental_elmore.h"
@@ -60,21 +59,6 @@ TEST_P(GraphPropertyTest, CycleCountMatchesBridgeStructure) {
     } else {
       // Every independent cycle involves >= 3 non-bridge edges.
       EXPECT_GE(graph::redundant_edge_count(g), 3u);
-    }
-  }
-}
-
-TEST_P(GraphPropertyTest, MomentBoundsBracketTransientDelay) {
-  const auto [pins, chords] = GetParam();
-  const delay::TransientEvaluator transient(kTech);
-  for (std::uint64_t seed = 5; seed <= 6; ++seed) {
-    const graph::RoutingGraph g = random_routing(pins, chords, seed);
-    const delay::DelayBounds bounds = delay::delay_bounds(g, kTech, 0.5);
-    const std::vector<double> t50 = transient.sink_delays(g);
-    const std::vector<graph::NodeId> sinks = g.sinks();
-    for (std::size_t i = 0; i < sinks.size(); ++i) {
-      EXPECT_LE(bounds.lower_s[sinks[i]], t50[i] * (1 + 1e-6));
-      EXPECT_GE(bounds.upper_s[sinks[i]], t50[i] * (1 - 1e-6));
     }
   }
 }

@@ -1,19 +1,20 @@
-// ntr_analyze: whole-project structural analysis.
+// ntr_analyze: the repo's static analysis.
 //
-// Where ntr_lint checks one file at a time, ntr_analyze loads the whole
-// tree, resolves the include graph, and enforces cross-file structure:
-// the declared module layering (docs/layering.conf), include-cycle
-// freedom, the parallel-lane concurrency discipline from PR 3,
-// include-what-you-use hygiene, the semantic dataflow rules on the
-// scope-aware parse (unchecked-status, nondeterministic-iteration,
-// escaping-ref-capture), and the interprocedural reachability rules on
-// the whole-project call graph (global-mutable-state, alloc-in-hot-path,
-// blocking-in-lane), the lock-discipline rules on the held-lock model
-// (lock-order-inversion, blocking-under-lock, unguarded-member-access),
-// and the wire-taint rule on the interprocedural taint model (untrusted
-// boundary input reaching resource sinks). CI runs it as a required
-// step; see docs/static_analysis.md for the rules and the suppression
-// syntax.
+// Loads the whole tree once, resolves the include graph, and runs every
+// pass over it: the per-line lint rules (raw-assert, pragma-once,
+// using-namespace-header, unseeded-rng, cout-in-library, raw-mutex-lock,
+// untyped-throw, unchecked-narrowing), the declared module layering
+// (docs/layering.conf), include-cycle freedom, the parallel-lane
+// concurrency discipline, include-what-you-use hygiene, the semantic
+// dataflow rules on the scope-aware parse (unchecked-status,
+// nondeterministic-iteration, escaping-ref-capture), the interprocedural
+// reachability rules on the whole-project call graph
+// (global-mutable-state, blocking-in-lane), the lock-discipline rules on
+// the held-lock model (lock-order-inversion, blocking-under-lock,
+// unguarded-member-access), and the wire-taint rule on the
+// interprocedural taint model (untrusted boundary input reaching
+// resource sinks). CI runs it as a required step; see
+// docs/static_analysis.md for the rules and the suppression syntax.
 
 #include <cstddef>
 #include <cstdio>
@@ -24,7 +25,7 @@
 #include "analyze/analyze.h"
 #include "analyze/callgraph.h"
 #include "analyze/include_graph.h"
-#include "check/lint.h"
+#include "analyze/lint.h"
 
 namespace {
 
@@ -37,15 +38,18 @@ void usage(std::FILE* out) {
       "\n"
       "Loads every .h/.hpp/.cc/.cpp under the given files/directories\n"
       "(default: src tools tests, resolved against --root, default '.'),\n"
-      "resolves the project include graph, and runs the structural\n"
-      "passes: layering (against --layers, default docs/layering.conf\n"
-      "under the root), include-cycle, concurrency discipline, include\n"
-      "hygiene, the semantic dataflow passes on the scope-aware parse\n"
+      "resolves the project include graph, and runs every pass: the\n"
+      "per-line lint rules (raw-assert, pragma-once,\n"
+      "using-namespace-header, unseeded-rng, cout-in-library,\n"
+      "raw-mutex-lock, untyped-throw, unchecked-narrowing), layering\n"
+      "(against --layers, default docs/layering.conf under the root),\n"
+      "include-cycle, concurrency discipline, include hygiene, the\n"
+      "semantic dataflow passes on the scope-aware parse\n"
       "(unchecked-status, nondeterministic-iteration,\n"
-      "escaping-ref-capture; src/ only), and the interprocedural\n"
+      "escaping-ref-capture; src/ only), the interprocedural\n"
       "reachability passes on the whole-project call graph\n"
-      "(global-mutable-state, alloc-in-hot-path, blocking-in-lane;\n"
-      "src/ only), the lock-discipline passes on the held-lock model\n"
+      "(global-mutable-state, blocking-in-lane; src/ only), the\n"
+      "lock-discipline passes on the held-lock model\n"
       "(lock-order-inversion, blocking-under-lock,\n"
       "unguarded-member-access; src/ only), and the wire-taint pass on\n"
       "the interprocedural taint model (src/ only).\n"
@@ -70,30 +74,8 @@ void usage(std::FILE* out) {
       "                        the *ldrg* family)\n"
       "\n"
       "Prints one 'file:line: [rule] message' per finding. Exit codes:\n"
-      "0 clean, 1 findings, 2 usage or unreadable config.\n",
+      "0 clean, 1 findings, 2 usage, unreadable source or config.\n",
       out);
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 bool write_output(const std::string& path, const std::string& content,
@@ -226,8 +208,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  for (const ntr::check::LintDiagnostic& d : result.findings) {
-    std::fprintf(stderr, "%s\n", ntr::check::format(d).c_str());
+  for (const ntr::analyze::LintDiagnostic& d : result.findings) {
+    std::fprintf(stderr, "%s\n", ntr::analyze::format(d).c_str());
   }
   std::fprintf(stderr, "ntr_analyze: %zu file(s), %zu finding(s)\n",
                result.project.files.size(), result.findings.size());
@@ -251,23 +233,8 @@ int main(int argc, char** argv) {
     if (!write_output(taint_dot_path, dot, "taint-graph DOT")) return 2;
   }
   if (!json_path.empty()) {
-    char wall[32];
-    std::snprintf(wall, sizeof wall, "%.3f", result.wall_ms);
-    std::string json = "{\n  \"wall_ms\": " + std::string(wall) +
-                       ",\n  \"files\": " +
-                       std::to_string(result.project.files.size()) +
-                       ",\n  \"findings\": [\n";
-    for (std::size_t i = 0; i < result.findings.size(); ++i) {
-      const ntr::check::LintDiagnostic& d = result.findings[i];
-      json += "    {\"file\": \"" + json_escape(d.file) +
-              "\", \"line\": " + std::to_string(d.line) + ", \"rule\": \"" +
-              json_escape(d.rule) + "\", \"message\": \"" +
-              json_escape(d.message) + "\"}";
-      if (i + 1 < result.findings.size()) json += ",";
-      json += "\n";
-    }
-    json += "  ]\n}\n";
-    if (!write_output(json_path, json, "JSON")) return 2;
+    if (!write_output(json_path, ntr::analyze::json_report(result), "JSON"))
+      return 2;
   }
   if (!sarif_path.empty()) {
     if (!write_output(sarif_path, ntr::analyze::sarif_report(result), "SARIF"))
