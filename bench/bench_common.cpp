@@ -1,11 +1,8 @@
 #include "bench_common.h"
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
-#include <stdexcept>
-#include <thread>
 
 #include "expt/protocol.h"
 #include "spice/units.h"
@@ -81,73 +78,6 @@ void report(const std::string& title, const std::vector<expt::AggregateRow>& row
   std::cout << "\nCSV:\n";
   expt::print_csv(std::cout, rows);
   std::cout << std::endl;
-}
-
-std::string json_path_from_args(int argc, const char* const* argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") {
-      if (i + 1 >= argc)
-        throw std::invalid_argument("--json expects an output path");
-      return argv[i + 1];
-    }
-  }
-  return "";
-}
-
-namespace {
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
-void write_metrics(std::ostream& os,
-                   const std::vector<std::pair<std::string, double>>& metrics,
-                   const char* indent) {
-  os << "{";
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    os << (i ? "," : "") << "\n" << indent << "  ";
-    write_json_string(os, metrics[i].first);
-    os << ": " << metrics[i].second;
-  }
-  if (!metrics.empty()) os << "\n" << indent;
-  os << "}";
-}
-
-}  // namespace
-
-void write_bench_json(const std::string& path, const BenchReport& report) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot write bench JSON to " + path);
-  os.precision(17);
-  os << "{\n  \"bench\": ";
-  write_json_string(os, report.bench);
-  os << ",\n  \"hardware_concurrency\": "
-     << std::thread::hardware_concurrency();
-  os << ",\n  \"config\": {\n    \"trials\": " << report.config.trials
-     << ",\n    \"seed\": " << report.config.seed << ",\n    \"net_sizes\": [";
-  for (std::size_t i = 0; i < report.config.net_sizes.size(); ++i)
-    os << (i ? ", " : "") << report.config.net_sizes[i];
-  os << "],\n    \"threads\": " << report.config.parallel.resolved_threads()
-     << "\n  },\n  \"outputs_identical\": "
-     << (report.outputs_identical ? "true" : "false");
-  os << ",\n  \"phases\": [";
-  for (std::size_t i = 0; i < report.phases.size(); ++i) {
-    const BenchPhase& p = report.phases[i];
-    os << (i ? "," : "") << "\n    {\n      \"name\": ";
-    write_json_string(os, p.name);
-    os << ",\n      \"wall_s\": " << p.wall_s << ",\n      \"metrics\": ";
-    write_metrics(os, p.metrics, "      ");
-    os << "\n    }";
-  }
-  if (!report.phases.empty()) os << "\n  ";
-  os << "],\n  \"summary\": ";
-  write_metrics(os, report.summary, "  ");
-  os << "\n}\n";
 }
 
 }  // namespace ntr::bench

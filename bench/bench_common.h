@@ -15,16 +15,12 @@
 //   NTR_THREADS - candidate-evaluation threads (0 = all cores, default 1);
 //                 routing output is bit-identical for every value
 //
-// Every table binary also accepts `--json <path>`: in addition to the
-// stdout tables it then writes a machine-readable phase report (wall-clock
-// per phase, thread count, cache statistics) that CI's bench-perf job
-// uploads and compares against bench/baseline.json.
+// These binaries print answers, not timings. The library's speed is
+// measured by perfbench (perfbench/run.py; see docs/performance.md).
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/parallel.h"
@@ -68,48 +64,5 @@ void report(const std::string& title, const std::vector<expt::AggregateRow>& row
 /// which present concrete example nets rather than aggregate tables.
 void print_routing(const std::string& label, const graph::RoutingGraph& g,
                    const delay::DelayEvaluator& measure);
-
-/// Monotonic stopwatch for timing bench phases.
-class WallTimer {
- public:
-  WallTimer() : start_(std::chrono::steady_clock::now()) {}
-  void reset() { start_ = std::chrono::steady_clock::now(); }
-  [[nodiscard]] double seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// One timed phase of a bench run plus free-form named metrics
-/// (cache hit-rates, candidate counts, ...).
-struct BenchPhase {
-  std::string name;
-  double wall_s = 0.0;
-  std::vector<std::pair<std::string, double>> metrics;
-};
-
-/// The machine-readable result a `--json` run emits: phase timings under a
-/// recorded configuration, plus summary figures (speedups) and whether the
-/// optimized phases reproduced the reference output bit-for-bit.
-struct BenchReport {
-  std::string bench;
-  TableConfig config;
-  std::vector<BenchPhase> phases;
-  std::vector<std::pair<std::string, double>> summary;
-  bool outputs_identical = true;
-};
-
-/// Returns the value following a `--json` argument, or "" when absent.
-/// Throws std::invalid_argument when the path is missing.
-std::string json_path_from_args(int argc, const char* const* argv);
-
-/// Writes `report` as a JSON document (schema consumed by
-/// scripts/bench_compare.py; includes hardware_concurrency so absolute
-/// timings can be read in context).
-void write_bench_json(const std::string& path, const BenchReport& report);
 
 }  // namespace ntr::bench

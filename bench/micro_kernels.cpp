@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -208,28 +207,4 @@ BENCHMARK(BM_LdrgParallelScan)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 }  // namespace
 
-// benchmark's own main, plus the repo-wide `--json <path>` spelling all
-// bench binaries share (translated to google-benchmark's output flags so
-// CI's bench-perf job can treat every binary uniformly).
-int main(int argc, char** argv) {
-  std::vector<std::string> args(argv, argv + argc);
-  std::vector<std::string> translated;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--json" && i + 1 < args.size()) {
-      translated.push_back("--benchmark_format=console");
-      translated.push_back("--benchmark_out_format=json");
-      translated.push_back("--benchmark_out=" + args[++i]);
-    } else {
-      translated.push_back(args[i]);
-    }
-  }
-  std::vector<char*> raw;
-  raw.reserve(translated.size());
-  for (std::string& s : translated) raw.push_back(s.data());
-  int raw_argc = static_cast<int>(raw.size());
-  benchmark::Initialize(&raw_argc, raw.data());
-  if (benchmark::ReportUnrecognizedArguments(raw_argc, raw.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -4,12 +4,11 @@
 # deadlines force the degradation ladder), verify bit-identity against
 # the library, drain gracefully, and require clean exits on both sides.
 #
-# usage: serve_smoke.sh <ntr_serve-binary> <ntr_loadgen-binary> [out.json]
+# usage: serve_smoke.sh <ntr_serve-binary> <ntr_loadgen-binary>
 set -u
 
 SERVE_BIN="$1"
 LOADGEN_BIN="$2"
-BENCH_JSON="${3:-}"
 
 WORK_DIR="$(mktemp -d)"
 PORT_FILE="$WORK_DIR/port"
@@ -28,12 +27,8 @@ trap cleanup EXIT
   --queue-depth 64 > "$SERVER_LOG" 2>&1 &
 SERVER_PID=$!
 
-LOADGEN_ARGS=(--port-file "$PORT_FILE" --clients 4 --requests 6 --pins 10
-              --seed 20260808 --timeout-every 3 --verify --shutdown)
-if [[ -n "$BENCH_JSON" ]]; then
-  LOADGEN_ARGS+=(--json "$BENCH_JSON")
-fi
-"$LOADGEN_BIN" "${LOADGEN_ARGS[@]}"
+"$LOADGEN_BIN" --port-file "$PORT_FILE" --clients 4 --requests 6 --pins 10 \
+  --seed 20260808 --timeout-every 3 --verify --shutdown
 LOADGEN_RC=$?
 if [[ $LOADGEN_RC -ne 0 ]]; then
   echo "serve_smoke: loadgen failed (exit $LOADGEN_RC)" >&2

@@ -7,16 +7,10 @@
 
 namespace ntr::delay {
 
-namespace {
-
-constexpr double kShortResistanceOhm = 1e-6;  // matches spice::build_netlist
-
-}  // namespace
-
 double wire_conductance(double length_um, double width,
                         const spice::Technology& tech) {
   const double r = length_um > 0.0 ? tech.wire_resistance(length_um, width)
-                                   : kShortResistanceOhm;
+                                   : spice::kShortResistanceOhm;
   return 1.0 / r;
 }
 

@@ -1,6 +1,10 @@
 #include "io/cli.h"
 
+#include <charconv>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <system_error>
 
 namespace ntr::io {
 
@@ -90,25 +94,39 @@ int exit_code_for(const runtime::Status& status) {
 
 namespace {
 
-double parse_double(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    if (used != value.size()) throw std::invalid_argument("");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad numeric value for " + flag + ": '" + value + "'");
-  }
-}
-
-std::uint64_t parse_uint(const std::string& flag, const std::string& value) {
-  const double v = parse_double(flag, value);
-  if (v < 0 || v != static_cast<double>(static_cast<std::uint64_t>(v)))
-    throw std::invalid_argument(flag + " expects a non-negative integer");
-  return static_cast<std::uint64_t>(v);
+std::invalid_argument bad_value(std::string_view flag, std::string_view value,
+                                std::string_view expected) {
+  return std::invalid_argument(std::string(flag) + " expects " +
+                               std::string(expected) + ", got '" +
+                               std::string(value) + "'");
 }
 
 }  // namespace
+
+std::uint64_t parse_uint(std::string_view flag, std::string_view value) {
+  const char* const end = value.data() + value.size();
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc{} || ptr != end)
+    throw bad_value(flag, value, "a non-negative integer below 2^64");
+  return v;
+}
+
+double parse_double(std::string_view flag, std::string_view value) {
+  const char* const end = value.data() + value.size();
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(v))
+    throw bad_value(flag, value, "a finite number");
+  return v;
+}
+
+std::uint16_t parse_port(std::string_view flag, std::string_view value) {
+  const std::uint64_t v = parse_uint(flag, value);
+  if (v > std::numeric_limits<std::uint16_t>::max())
+    throw bad_value(flag, value, "a port of at most 65535");
+  return static_cast<std::uint16_t>(v);
+}
 
 CliOptions parse_cli(std::span<const std::string> args) {
   CliOptions opts;

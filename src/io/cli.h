@@ -1,8 +1,10 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "core/resilience.h"
 #include "core/solver.h"
@@ -58,6 +60,16 @@ std::string cli_usage();
 
 /// Maps a --strategy name to the solver enum; throws on unknown names.
 core::Strategy strategy_from_name(const std::string& name);
+
+/// The exact number parsers every tool reads its flag values with. Each
+/// takes the whole of `value` or throws std::invalid_argument naming
+/// `flag`. An integer is decimal digits only: no sign, no exponent, no
+/// trailing characters, and a value past 2^64 - 1 is an error, not a
+/// wrap. A real is a finite decimal or scientific number.
+[[nodiscard]] std::uint64_t parse_uint(std::string_view flag, std::string_view value);
+[[nodiscard]] double parse_double(std::string_view flag, std::string_view value);
+/// A TCP port: an integer of at most 65535.
+[[nodiscard]] std::uint16_t parse_port(std::string_view flag, std::string_view value);
 
 /// Process exit codes shared by the tools (documented in --help). Distinct
 /// codes let scripts tell a usage mistake from a bad input file from a

@@ -8,7 +8,7 @@
 ///
 ///   geom/     points, Manhattan metric, Hanan grid, rectilinear segments
 ///   graph/    routing graphs with cycles, MST, paths, bridges, embedding
-///   linalg/   dense LU/Cholesky, CSR + conjugate gradient
+///   linalg/   dense LU/Cholesky, CSR, RCM with the envelope L D L^T
 ///   spice/    Table-1 technology, linear netlists, deck I/O, graph->RC
 ///   sim/      MNA, DC/moments, transient engine (the SPICE substitute)
 ///   delay/    Elmore (tree + graph), D2M, Sherman-Morrison

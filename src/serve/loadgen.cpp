@@ -540,76 +540,6 @@ LoadgenReport run_loadgen(const LoadgenOptions& options) {
   return agg.report;
 }
 
-std::string LoadgenReport::to_bench_json(const LoadgenOptions& options) const {
-  Json doc = Json::object();
-  doc.set("bench", Json::string("serve"));
-  doc.set("hardware_concurrency",
-          Json::number(std::thread::hardware_concurrency()));
-  Json config = Json::object();
-  config.set("trials", Json::number(static_cast<double>(
-                           options.requests_per_client)));
-  config.set("seed", Json::number(static_cast<double>(options.seed)));
-  Json sizes = Json::array();
-  sizes.push_back(Json::number(static_cast<double>(options.pins)));
-  config.set("net_sizes", std::move(sizes));
-  config.set("clients", Json::number(static_cast<double>(options.clients)));
-  config.set("nets_per_request",
-             Json::number(static_cast<double>(options.nets_per_request)));
-  config.set("mode", Json::string(options.mode == RouteMode::kFlow ? "flow"
-                                                                   : "solve"));
-  config.set("open_loop_rate", Json::number(options.open_loop_rate));
-  doc.set("config", std::move(config));
-  // Meaningful when --verify ran; vacuously true otherwise so the gate
-  // only trips on observed mismatches.
-  doc.set("outputs_identical", Json::boolean(verify_mismatches == 0));
-
-  Json phase = Json::object();
-  phase.set("name", Json::string("serve_load"));
-  phase.set("wall_s", Json::number(wall_s));
-  Json metrics = Json::object();
-  metrics.set("requests", Json::number(static_cast<double>(requests_sent)));
-  metrics.set("response_sets", Json::number(static_cast<double>(response_sets)));
-  metrics.set("net_frames", Json::number(static_cast<double>(net_frames)));
-  metrics.set("ok", Json::number(static_cast<double>(ok)));
-  metrics.set("degraded", Json::number(static_cast<double>(degraded)));
-  metrics.set("quarantined", Json::number(static_cast<double>(quarantined)));
-  metrics.set("overloaded", Json::number(static_cast<double>(overloaded)));
-  metrics.set("errors", Json::number(static_cast<double>(errors)));
-  metrics.set("connect_failures",
-              Json::number(static_cast<double>(connect_failures)));
-  metrics.set("connect_refused",
-              Json::number(static_cast<double>(connect_refused)));
-  metrics.set("connect_reset", Json::number(static_cast<double>(connect_reset)));
-  metrics.set("connect_timeout",
-              Json::number(static_cast<double>(connect_timeout)));
-  metrics.set("dropped_connections",
-              Json::number(static_cast<double>(dropped_connections)));
-  metrics.set("retries", Json::number(static_cast<double>(retries)));
-  metrics.set("reconnects", Json::number(static_cast<double>(reconnects)));
-  metrics.set("unrecovered", Json::number(static_cast<double>(unrecovered)));
-  metrics.set("verified", Json::number(static_cast<double>(verified)));
-  metrics.set("verify_mismatches",
-              Json::number(static_cast<double>(verify_mismatches)));
-  metrics.set("throughput_rps", Json::number(throughput_rps));
-  phase.set("metrics", std::move(metrics));
-  Json latency = Json::object();
-  latency.set("p50", Json::number(p50_ms));
-  latency.set("p95", Json::number(p95_ms));
-  latency.set("p99", Json::number(p99_ms));
-  latency.set("mean", Json::number(mean_ms));
-  latency.set("max", Json::number(max_ms));
-  phase.set("latency_ms", std::move(latency));
-  Json phases = Json::array();
-  phases.push_back(std::move(phase));
-  doc.set("phases", std::move(phases));
-
-  Json summary = Json::object();
-  summary.set("throughput_rps", Json::number(throughput_rps));
-  summary.set("p99_latency_ms", Json::number(p99_ms));
-  doc.set("summary", std::move(summary));
-  return doc.dump();
-}
-
 std::string LoadgenReport::summary() const {
   char buf[640];
   std::snprintf(buf, sizeof buf,

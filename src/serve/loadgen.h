@@ -125,9 +125,6 @@ struct LoadgenReport {
   double mean_ms = 0.0, p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0, max_ms = 0.0;
   std::vector<double> latencies_ms;  ///< per-request, unsorted
 
-  /// BENCH_serve.json in the bench/ phase-report schema (plus a
-  /// latency_ms block scripts/bench_compare.py gates).
-  [[nodiscard]] std::string to_bench_json(const LoadgenOptions& options) const;
   /// One-paragraph human summary.
   [[nodiscard]] std::string summary() const;
 };

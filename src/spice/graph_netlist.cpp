@@ -7,10 +7,6 @@ namespace ntr::spice {
 
 namespace {
 
-/// Resistance used for zero-length connections (coincident points joined
-/// by a degenerate wire): electrically a short, numerically well-posed.
-constexpr double kShortResistanceOhm = 1e-6;
-
 unsigned section_count(const NetlistOptions& options, double length_um) {
   unsigned sections = options.segments_per_edge == 0 ? 1 : options.segments_per_edge;
   if (options.max_segment_length_um > 0.0) {

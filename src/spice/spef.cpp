@@ -62,7 +62,8 @@ std::string write_spef(const graph::RoutingGraph& g, const Technology& tech,
   out << "*RES\n";
   std::size_t res_index = 1;
   for (const graph::GraphEdge& e : g.edges()) {
-    const double r = e.length > 0.0 ? tech.wire_resistance(e.length, e.width) : 1e-6;
+    const double r =
+        e.length > 0.0 ? tech.wire_resistance(e.length, e.width) : kShortResistanceOhm;
     out << res_index++ << ' ' << node_name(e.u) << ' ' << node_name(e.v) << ' ' << r
         << "\n";
   }

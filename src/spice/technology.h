@@ -33,4 +33,9 @@ struct Technology {
 /// The paper's default technology instance.
 inline constexpr Technology kTable1Technology{};
 
+/// Resistance of a zero-length wire (coincident points joined by a
+/// degenerate edge): electrically a short, numerically well-posed. The
+/// netlist, the SPEF export and the moment solver all stamp this value.
+inline constexpr double kShortResistanceOhm = 1e-6;
+
 }  // namespace ntr::spice

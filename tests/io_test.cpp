@@ -129,6 +129,46 @@ TEST(Cli, ValueValidation) {
                std::invalid_argument);
   EXPECT_THROW(parse_cli(args({"--random", "5", "--frobnicate"})),
                std::invalid_argument);
+  for (const char* seed : {"1e20", "nan", "-1", "12x"})
+    EXPECT_THROW(parse_cli(args({"--random", "5", "--seed", seed})),
+                 std::invalid_argument)
+        << seed;
+  EXPECT_THROW(parse_cli(args({"--random", "5", "--deadline-ms", "nan"})),
+               std::invalid_argument);
+}
+
+TEST(CliNumbers, IntegersAreExact) {
+  EXPECT_EQ(parse_uint("--n", "0"), 0u);
+  EXPECT_EQ(parse_uint("--n", "007"), 7u);
+  EXPECT_EQ(parse_uint("--n", "18446744073709551615"), 18446744073709551615u);
+  // A sign, a fraction, an exponent, blanks, trailing characters or an
+  // empty value are errors, never a wrapped or truncated number.
+  for (const char* bad : {"-1", "+1", "1.5", "1e3", "1e20", "nan", "inf", " 1",
+                          "1 ", "12x", "0x10", "", "abc"})
+    EXPECT_THROW((void)parse_uint("--n", bad), std::invalid_argument) << bad;
+  EXPECT_THROW((void)parse_uint("--n", "18446744073709551616"), std::invalid_argument);
+  try {
+    (void)parse_uint("--threads", "-1");
+    ADD_FAILURE() << "-1 parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--threads expects"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CliNumbers, RealsAreFinite) {
+  EXPECT_EQ(parse_double("--x", "0.0001"), 0.0001);
+  EXPECT_EQ(parse_double("--x", "1e3"), 1000.0);
+  EXPECT_EQ(parse_double("--x", "-2.5"), -2.5);
+  for (const char* bad : {"abc", "1.5ms", "", " 1", "nan", "inf", "-inf", "1e999"})
+    EXPECT_THROW((void)parse_double("--x", bad), std::invalid_argument) << bad;
+}
+
+TEST(CliNumbers, PortsStopAt65535) {
+  EXPECT_EQ(parse_port("--port", "0"), 0u);
+  EXPECT_EQ(parse_port("--port", "65535"), 65535u);
+  for (const char* bad : {"65536", "70000", "-1", "18446744073709551615"})
+    EXPECT_THROW((void)parse_port("--port", bad), std::invalid_argument) << bad;
 }
 
 TEST(Cli, HelpBypassesValidation) {

@@ -223,6 +223,38 @@ TEST(LdrgParallel, BoundedScoringIsOutputPreserving) {
   }
 }
 
+// Table 2 grows iteration two from its cached iteration-one routing: one
+// more greedy edge on top of ldrg(mst, 1) must be ldrg(mst, 2), bit for
+// bit -- the same edges, the same steps and the same final objective.
+TEST(LdrgParallel, ContinuationMatchesTwoEdgeRun) {
+  const delay::TransientEvaluator eval(kTech);
+  core::LdrgOptions one;
+  one.max_added_edges = 1;
+  core::LdrgOptions two = one;
+  two.max_added_edges = 2;
+  std::size_t two_edge_runs = 0;
+  for (const std::size_t pins : {5u, 8u, 12u, 16u, 20u}) {
+    const std::string context = "pins " + std::to_string(pins);
+    expt::NetGenerator gen(60 + pins);
+    const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(pins));
+    const core::LdrgResult first = core::ldrg(mst, eval, one);
+    const core::LdrgResult next = core::ldrg(first.graph, eval, one);
+    const core::LdrgResult whole = core::ldrg(mst, eval, two);
+
+    core::LdrgResult resumed = next;
+    resumed.steps = first.steps;
+    resumed.steps.insert(resumed.steps.end(), next.steps.begin(), next.steps.end());
+    expect_identical(resumed, whole, context);
+    for (std::size_t i = 0; i < std::min(resumed.steps.size(), whole.steps.size()); ++i) {
+      EXPECT_EQ(resumed.steps[i].objective_before, whole.steps[i].objective_before)
+          << context;
+      EXPECT_EQ(resumed.steps[i].cost_after, whole.steps[i].cost_after) << context;
+    }
+    two_edge_runs += whole.steps.size() == 2;
+  }
+  EXPECT_GE(two_edge_runs, 1u) << "no net took a second edge";
+}
+
 TEST(LdrgParallel, WeightedObjectiveBitIdenticalAcrossThreadCounts) {
   const delay::TransientEvaluator eval(kTech);
   expt::NetGenerator gen(17);

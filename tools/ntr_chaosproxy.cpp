@@ -65,19 +65,6 @@ struct Options {
   bool help = false;
 };
 
-std::size_t parse_uint(const std::string& flag, const std::string& value) {
-  std::size_t pos = 0;
-  unsigned long long v = 0;
-  try {
-    v = std::stoull(value, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(flag + " expects a non-negative integer");
-  }
-  if (pos != value.size())
-    throw std::invalid_argument(flag + " expects a non-negative integer");
-  return static_cast<std::size_t>(v);
-}
-
 Options parse_args(const std::vector<std::string>& args) {
   Options opts;
   // The env spec is the default; --spec overrides it.
@@ -94,14 +81,13 @@ Options parse_args(const std::vector<std::string>& args) {
     } else if (arg == "--host") {
       opts.proxy.host = next(i, arg);
     } else if (arg == "--port") {
-      opts.proxy.port = static_cast<std::uint16_t>(parse_uint(arg, next(i, arg)));
+      opts.proxy.port = ntr::io::parse_port(arg, next(i, arg));
     } else if (arg == "--port-file") {
       opts.port_file = next(i, arg);
     } else if (arg == "--upstream-host") {
       opts.proxy.upstream_host = next(i, arg);
     } else if (arg == "--upstream-port") {
-      opts.proxy.upstream_port =
-          static_cast<std::uint16_t>(parse_uint(arg, next(i, arg)));
+      opts.proxy.upstream_port = ntr::io::parse_port(arg, next(i, arg));
       opts.upstream_port_set = true;
     } else if (arg == "--upstream-port-file") {
       opts.upstream_port_file = next(i, arg);

@@ -7,7 +7,6 @@
 //   $ ntr_experiment --candidate h3 --sizes 10,20 --trials 25 --csv out.csv
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -77,14 +76,14 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--candidate") {
       o.candidate = next();
     } else if (arg == "--trials") {
-      o.trials = std::strtoull(next().c_str(), nullptr, 10);
+      o.trials = io::parse_uint(arg, next());
       if (o.trials == 0) throw std::invalid_argument("--trials must be positive");
     } else if (arg == "--seed") {
-      o.seed = std::strtoull(next().c_str(), nullptr, 10);
+      o.seed = io::parse_uint(arg, next());
     } else if (arg == "--csv") {
       o.csv_path = next();
     } else if (arg == "--deadline-ms") {
-      o.deadline_ms = std::strtod(next().c_str(), nullptr);
+      o.deadline_ms = io::parse_double(arg, next());
       if (o.deadline_ms < 0.0)
         throw std::invalid_argument("--deadline-ms expects a non-negative value");
     } else if (arg == "--on-error") {
@@ -101,10 +100,11 @@ Options parse(int argc, char** argv) {
       std::stringstream ss(next());
       std::string item;
       while (std::getline(ss, item, ',')) {
-        const unsigned long v = std::strtoul(item.c_str(), nullptr, 10);
-        if (v >= 2) o.sizes.push_back(v);
+        o.sizes.push_back(io::parse_uint(arg, item));
+        if (o.sizes.back() < 2)
+          throw std::invalid_argument("--sizes expects nets of at least 2 pins");
       }
-      if (o.sizes.empty()) throw std::invalid_argument("--sizes: nothing parsable");
+      if (o.sizes.empty()) throw std::invalid_argument("--sizes expects a list");
     } else {
       throw std::invalid_argument("unknown argument '" + arg + "'");
     }

@@ -1,7 +1,7 @@
 // ntr_loadgen: load generator and correctness prober for ntr_serve.
 //
 //   $ ntr_loadgen --port-file /tmp/ntr.port --clients 8 --requests 16
-//                 --timeout-every 5 --verify --json BENCH_serve.json
+//                 --timeout-every 5 --verify
 //
 // Drives a running server with a fleet of closed- or open-loop clients,
 // aggregates throughput and p50/p95/p99 latency, optionally recomputes
@@ -62,7 +62,6 @@ checks and output:
   --stats            fetch and print the server's stats document after the
                      fleet finishes
   --shutdown         send a shutdown request once the fleet finishes
-  --json PATH        write the bench phase report (BENCH_serve.json)
   --help             this text
 
 exit codes: 0 ok, 1 dropped connections / verify mismatch / internal,
@@ -72,38 +71,12 @@ exit codes: 0 ok, 1 dropped connections / verify mismatch / internal,
 struct Options {
   ntr::serve::LoadgenOptions load;
   std::string port_file;
-  std::string json_path;
   bool send_shutdown = false;
   bool tolerate_drops = false;
   bool print_stats = false;
   bool help = false;
   bool port_set = false;
 };
-
-std::size_t parse_uint(const std::string& flag, const std::string& value) {
-  std::size_t pos = 0;
-  unsigned long long v = 0;
-  try {
-    v = std::stoull(value, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(flag + " expects a non-negative integer");
-  }
-  if (pos != value.size())
-    throw std::invalid_argument(flag + " expects a non-negative integer");
-  return static_cast<std::size_t>(v);
-}
-
-double parse_double(const std::string& flag, const std::string& value) {
-  std::size_t pos = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(value, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(flag + " expects a number");
-  }
-  if (pos != value.size()) throw std::invalid_argument(flag + " expects a number");
-  return v;
-}
 
 Options parse_args(const std::vector<std::string>& args) {
   Options opts;
@@ -119,22 +92,22 @@ Options parse_args(const std::vector<std::string>& args) {
     } else if (arg == "--host") {
       opts.load.host = next(i, arg);
     } else if (arg == "--port") {
-      opts.load.port = static_cast<std::uint16_t>(parse_uint(arg, next(i, arg)));
+      opts.load.port = ntr::io::parse_port(arg, next(i, arg));
       opts.port_set = true;
     } else if (arg == "--port-file") {
       opts.port_file = next(i, arg);
     } else if (arg == "--clients") {
-      opts.load.clients = parse_uint(arg, next(i, arg));
+      opts.load.clients = ntr::io::parse_uint(arg, next(i, arg));
     } else if (arg == "--requests") {
-      opts.load.requests_per_client = parse_uint(arg, next(i, arg));
+      opts.load.requests_per_client = ntr::io::parse_uint(arg, next(i, arg));
     } else if (arg == "--nets") {
-      opts.load.nets_per_request = parse_uint(arg, next(i, arg));
+      opts.load.nets_per_request = ntr::io::parse_uint(arg, next(i, arg));
       if (opts.load.nets_per_request == 0)
         throw std::invalid_argument("--nets must be >= 1");
     } else if (arg == "--pins") {
-      opts.load.pins = parse_uint(arg, next(i, arg));
+      opts.load.pins = ntr::io::parse_uint(arg, next(i, arg));
     } else if (arg == "--seed") {
-      opts.load.seed = parse_uint(arg, next(i, arg));
+      opts.load.seed = ntr::io::parse_uint(arg, next(i, arg));
     } else if (arg == "--mode") {
       const std::string& mode = next(i, arg);
       if (mode == "solve")
@@ -152,19 +125,19 @@ Options parse_args(const std::vector<std::string>& args) {
         throw std::invalid_argument("unknown --evaluator '" +
                                     opts.load.evaluator + "'");
     } else if (arg == "--deadline-ms") {
-      opts.load.deadline_ms = parse_double(arg, next(i, arg));
+      opts.load.deadline_ms = ntr::io::parse_double(arg, next(i, arg));
     } else if (arg == "--timeout-every") {
-      opts.load.timeout_every = parse_uint(arg, next(i, arg));
+      opts.load.timeout_every = ntr::io::parse_uint(arg, next(i, arg));
     } else if (arg == "--rate") {
-      opts.load.open_loop_rate = parse_double(arg, next(i, arg));
+      opts.load.open_loop_rate = ntr::io::parse_double(arg, next(i, arg));
     } else if (arg == "--retries") {
-      opts.load.retry.max_retries = parse_uint(arg, next(i, arg));
+      opts.load.retry.max_retries = ntr::io::parse_uint(arg, next(i, arg));
     } else if (arg == "--backoff-ms") {
-      opts.load.retry.backoff_ms = parse_double(arg, next(i, arg));
+      opts.load.retry.backoff_ms = ntr::io::parse_double(arg, next(i, arg));
       if (opts.load.retry.backoff_ms < 0.0)
         throw std::invalid_argument("--backoff-ms must be >= 0");
     } else if (arg == "--backoff-max-ms") {
-      opts.load.retry.backoff_max_ms = parse_double(arg, next(i, arg));
+      opts.load.retry.backoff_max_ms = ntr::io::parse_double(arg, next(i, arg));
       if (opts.load.retry.backoff_max_ms < 0.0)
         throw std::invalid_argument("--backoff-max-ms must be >= 0");
     } else if (arg == "--verify") {
@@ -175,8 +148,6 @@ Options parse_args(const std::vector<std::string>& args) {
       opts.print_stats = true;
     } else if (arg == "--shutdown") {
       opts.send_shutdown = true;
-    } else if (arg == "--json") {
-      opts.json_path = next(i, arg);
     } else {
       throw std::invalid_argument("unknown flag '" + arg + "'");
     }
@@ -228,16 +199,6 @@ int main(int argc, char** argv) {
 
   const ntr::serve::LoadgenReport report = ntr::serve::run_loadgen(opts.load);
   std::printf("ntr_loadgen: %s\n", report.summary().c_str());
-
-  if (!opts.json_path.empty()) {
-    std::ofstream out(opts.json_path);
-    out << report.to_bench_json(opts.load) << "\n";
-    if (!out) {
-      std::fprintf(stderr, "ntr_loadgen: cannot write %s\n",
-                   opts.json_path.c_str());
-      return ntr::io::kExitInternal;
-    }
-  }
 
   if (opts.print_stats) {
     ntr::serve::Client client;

@@ -68,31 +68,6 @@ struct Options {
   bool help = false;
 };
 
-std::size_t parse_uint(const std::string& flag, const std::string& value) {
-  std::size_t pos = 0;
-  unsigned long long v = 0;
-  try {
-    v = std::stoull(value, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(flag + " expects a non-negative integer");
-  }
-  if (pos != value.size())
-    throw std::invalid_argument(flag + " expects a non-negative integer");
-  return static_cast<std::size_t>(v);
-}
-
-double parse_double(const std::string& flag, const std::string& value) {
-  std::size_t pos = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(value, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(flag + " expects a number");
-  }
-  if (pos != value.size()) throw std::invalid_argument(flag + " expects a number");
-  return v;
-}
-
 Options parse_args(const std::vector<std::string>& args) {
   Options opts;
   const auto next = [&](std::size_t& i, const std::string& flag) -> const std::string& {
@@ -107,31 +82,31 @@ Options parse_args(const std::vector<std::string>& args) {
     } else if (arg == "--host") {
       opts.server.host = next(i, arg);
     } else if (arg == "--port") {
-      opts.server.port = static_cast<std::uint16_t>(parse_uint(arg, next(i, arg)));
+      opts.server.port = ntr::io::parse_port(arg, next(i, arg));
     } else if (arg == "--port-file") {
       opts.port_file = next(i, arg);
     } else if (arg == "--threads") {
-      opts.server.workers = parse_uint(arg, next(i, arg));
+      opts.server.workers = ntr::io::parse_uint(arg, next(i, arg));
       if (opts.server.workers == 0)
         throw std::invalid_argument("--threads must be >= 1");
     } else if (arg == "--queue-depth") {
-      opts.server.queue_capacity = parse_uint(arg, next(i, arg));
+      opts.server.queue_capacity = ntr::io::parse_uint(arg, next(i, arg));
     } else if (arg == "--max-inflight") {
-      opts.server.per_client_inflight = parse_uint(arg, next(i, arg));
+      opts.server.per_client_inflight = ntr::io::parse_uint(arg, next(i, arg));
       if (opts.server.per_client_inflight == 0)
         throw std::invalid_argument("--max-inflight must be >= 1");
     } else if (arg == "--max-frame-bytes") {
-      opts.server.max_frame_bytes = parse_uint(arg, next(i, arg));
+      opts.server.max_frame_bytes = ntr::io::parse_uint(arg, next(i, arg));
     } else if (arg == "--default-deadline-ms") {
-      opts.server.service.default_deadline_ms = parse_double(arg, next(i, arg));
+      opts.server.service.default_deadline_ms = ntr::io::parse_double(arg, next(i, arg));
     } else if (arg == "--max-deadline-ms") {
-      opts.server.service.max_deadline_ms = parse_double(arg, next(i, arg));
+      opts.server.service.max_deadline_ms = ntr::io::parse_double(arg, next(i, arg));
     } else if (arg == "--watchdog-interval-ms") {
-      opts.server.watchdog_interval_ms = parse_double(arg, next(i, arg));
+      opts.server.watchdog_interval_ms = ntr::io::parse_double(arg, next(i, arg));
     } else if (arg == "--watchdog-grace-ms") {
-      opts.server.watchdog_grace_ms = parse_double(arg, next(i, arg));
+      opts.server.watchdog_grace_ms = ntr::io::parse_double(arg, next(i, arg));
     } else if (arg == "--watchdog-stall-ms") {
-      opts.server.watchdog_stall_ms = parse_double(arg, next(i, arg));
+      opts.server.watchdog_stall_ms = ntr::io::parse_double(arg, next(i, arg));
     } else if (arg == "--enable-test-hooks") {
       opts.server.service.enable_test_hooks = true;
     } else {
