@@ -1,45 +1,32 @@
 #include "bench_common.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
+#include <stdexcept>
 
 #include "expt/protocol.h"
+#include "io/cli.h"
 #include "spice/units.h"
 
 namespace ntr::bench {
 
-namespace {
-
-std::vector<std::size_t> parse_sizes(const char* text) {
-  std::vector<std::size_t> sizes;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const unsigned long v = std::strtoul(item.c_str(), nullptr, 10);
-    if (v >= 2) sizes.push_back(v);
-  }
-  return sizes;
-}
-
-}  // namespace
-
 TableConfig config_from_env() {
   TableConfig config;
-  if (const char* trials = std::getenv("NTR_TRIALS")) {
-    const unsigned long v = std::strtoul(trials, nullptr, 10);
-    if (v > 0) config.trials = v;
-  }
-  if (const char* sizes = std::getenv("NTR_SIZES")) {
-    const std::vector<std::size_t> parsed = parse_sizes(sizes);
-    if (!parsed.empty()) config.net_sizes = parsed;
-  }
-  if (const char* seed = std::getenv("NTR_SEED")) {
-    config.seed = std::strtoull(seed, nullptr, 10);
-  }
-  if (const char* threads = std::getenv("NTR_THREADS")) {
-    config.parallel.num_threads =
-        static_cast<std::size_t>(std::strtoul(threads, nullptr, 10));
+  try {
+    if (const char* trials = std::getenv("NTR_TRIALS")) {
+      config.trials = io::parse_uint("NTR_TRIALS", trials);
+      if (config.trials == 0) throw std::invalid_argument("NTR_TRIALS must be >= 1");
+    }
+    if (const char* sizes = std::getenv("NTR_SIZES"))
+      config.net_sizes = io::parse_sizes("NTR_SIZES", sizes);
+    if (const char* seed = std::getenv("NTR_SEED"))
+      config.seed = io::parse_uint("NTR_SEED", seed);
+    if (const char* threads = std::getenv("NTR_THREADS"))
+      config.parallel.num_threads = io::parse_lanes("NTR_THREADS", threads);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(io::kExitUsage);
   }
   return config;
 }

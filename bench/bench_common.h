@@ -10,10 +10,14 @@
 //
 // Environment overrides (for quick runs / CI):
 //   NTR_TRIALS  - trials per net size (default 50, the paper's count)
-//   NTR_SIZES   - comma-separated net sizes (default "5,10,20,30")
+//   NTR_SIZES   - comma-separated net sizes of at least 2 pins
+//                 (default "5,10,20,30")
 //   NTR_SEED    - RNG seed (default 19940101)
-//   NTR_THREADS - candidate-evaluation threads (0 = all cores, default 1);
-//                 routing output is bit-identical for every value
+//   NTR_THREADS - candidate-evaluation threads (0 = all cores, default 1,
+//                 at most io::kMaxLanes); routing output is bit-identical
+//                 for every value
+// Each is read exactly (io/cli.h); a malformed or out-of-range value
+// exits 2 with a message naming the variable.
 //
 // These binaries print answers, not timings. The library's speed is
 // measured by perfbench (perfbench/run.py; see docs/performance.md).
@@ -42,7 +46,8 @@ struct TableConfig {
   core::ParallelConfig parallel{};
 };
 
-/// Applies the NTR_* environment overrides to the defaults.
+/// Applies the NTR_* environment overrides to the defaults; exits 2 on a
+/// bad value.
 TableConfig config_from_env();
 
 using RoutingFn = std::function<graph::RoutingGraph(const graph::Net&)>;

@@ -1064,8 +1064,7 @@ std::string lock_graph_dot(const LockGraph& graph) {
   for (const std::string& m : graph.mutexes)
     dot += "  \"" + m + "\";\n";
   for (const LockOrderEdge& e : graph.edges) {
-    dot += "  \"" + e.from + "\" -> \"" + e.to + "\" [label=\"" +
-           e.witness_file + ":" + std::to_string(e.witness_line) + "\"";
+    dot += "  \"" + e.from + "\" -> \"" + e.to + "\" [label=\"" + e.witness_file + "\"";
     if (e.in_cycle) dot += ", color=red, penwidth=2";
     dot += "];\n";
   }

@@ -56,8 +56,9 @@ struct LockGraph {
     const Project& project, const CallGraph& graph, LockGraph* out_graph);
 
 /// GraphViz DOT rendering of the lock-order graph: one node per mutex,
-/// one edge per ordered pair with its witness as the label; cycle edges
-/// are drawn red. Byte-identical across runs.
+/// one edge per ordered pair labelled with its witness's file (not line,
+/// so edits above a lock leave the figure as it is); cycle edges are
+/// drawn red. Byte-identical across runs.
 [[nodiscard]] std::string lock_graph_dot(const LockGraph& graph);
 
 }  // namespace ntr::analyze

@@ -31,15 +31,17 @@ constexpr std::array<std::string_view, 21> kSourceCalls = {
     "stoul",        "stoull",       "stod",        "strtod",
     "strtol",       "atoi"};
 
-/// Source calls that also write untrusted bytes into an argument; the
-/// value is the 0-based index of the buffer argument they fill.
-constexpr std::array<std::pair<std::string_view, int>, 6> kSourceBufArg = {
+/// Source calls that also write untrusted bytes, or a number parsed from
+/// them, into an argument; the value is the 0-based index of the argument
+/// they fill (std::from_chars returns its number through argument 2).
+constexpr std::array<std::pair<std::string_view, int>, 7> kSourceBufArg = {
     {{"recv", 1},
      {"recvfrom", 1},
      {"chaos_recv", 1},
      {"read", 1},
      {"getline", 1},
-     {"fread", 0}}};
+     {"fread", 0},
+     {"from_chars", 2}}};
 
 /// Calls whose result is range-bounded by construction; arguments passed
 /// through them are treated as clamped.
@@ -178,7 +180,7 @@ Taint src_taint(std::string desc) {
 /// the sinking function, for the flow graph.
 struct SinkHit {
   std::string chain;
-  std::string sink_id;  ///< "sink:<desc> @ <file>:<line>"
+  std::string sink_id;  ///< "sink:<desc> @ <file>"
   std::vector<std::string> path;
 };
 
@@ -570,8 +572,10 @@ Summary Pass::compute(const FnCtx& ctx, bool report_pass,
   // ---- sinks -------------------------------------------------------------
   const auto hit_sink = [&](const Taint& t, std::string sink_desc,
                             std::size_t line) {
+    // Findings name the line; the figure names the file alone, so that an
+    // edit above a flow leaves docs/taintgraph.dot as it is.
     const std::string where = file_path + ":" + std::to_string(line);
-    const std::string sink_id = "sink:" + sink_desc + " @ " + where;
+    const std::string sink_id = "sink:" + sink_desc + " @ " + file_path;
     if (t.src && report_pass && findings != nullptr) {
       const std::size_t before = findings->size();
       report(ctx.file, line, "wire-taint",
@@ -583,8 +587,8 @@ Summary Pass::compute(const FnCtx& ctx, bool report_pass,
         add_node("source:" + t.desc, TaintFlowNode::Kind::kSource);
         add_node("fn:" + ctx.qualified, TaintFlowNode::Kind::kFunction);
         add_node(sink_id, TaintFlowNode::Kind::kSink);
-        add_edge("source:" + t.desc, "fn:" + ctx.qualified, where, true);
-        add_edge("fn:" + ctx.qualified, sink_id, where, true);
+        add_edge("source:" + t.desc, "fn:" + ctx.qualified, file_path, true);
+        add_edge("fn:" + ctx.qualified, sink_id, file_path, true);
       }
     }
     for (const int j : t.params) {
@@ -719,15 +723,13 @@ Summary Pass::compute(const FnCtx& ctx, bool report_pass,
                      "; validate it before the call or justify with "
                      "ntr-wire-taint(<why>)");
           if (findings->size() > before) {
-            const std::string where =
-                file_path + ":" + std::to_string(call->line);
             add_node("source:" + t.desc, TaintFlowNode::Kind::kSource);
             add_node("fn:" + ctx.qualified, TaintFlowNode::Kind::kFunction);
-            add_edge("source:" + t.desc, "fn:" + ctx.qualified, where, true);
+            add_edge("source:" + t.desc, "fn:" + ctx.qualified, file_path, true);
             std::string prev = ctx.qualified;
             for (const std::string& step : hit.path) {
               add_node("fn:" + step, TaintFlowNode::Kind::kFunction);
-              add_edge("fn:" + prev, "fn:" + step, where, true);
+              add_edge("fn:" + prev, "fn:" + step, file_path, true);
               prev = step;
             }
             add_node(hit.sink_id, TaintFlowNode::Kind::kSink);
@@ -752,13 +754,15 @@ Summary Pass::compute(const FnCtx& ctx, bool report_pass,
     static const std::map<int, SinkHit> kNoHits;
     std::set<std::string> seen;
     for (const ParsedCall* call : ctx.calls) {
-      if (!in_set(kSourceCalls, std::string_view(call->callee))) continue;
+      if (!in_set(kSourceCalls, std::string_view(call->callee)) &&
+          std::none_of(kSourceBufArg.begin(), kSourceBufArg.end(),
+                       [&](const auto& source) { return source.first == call->callee; }))
+        continue;
       const std::string desc = call->callee + "()";
       if (!seen.insert(desc).second) continue;
       add_node("source:" + desc, TaintFlowNode::Kind::kSource);
       add_node("fn:" + ctx.qualified, TaintFlowNode::Kind::kFunction);
-      add_edge("source:" + desc, "fn:" + ctx.qualified,
-               file_path + ":" + std::to_string(call->line), false);
+      add_edge("source:" + desc, "fn:" + ctx.qualified, file_path, false);
     }
     for (std::size_t k = body_b + 1; k + 1 < body_e && k < toks.size(); ++k) {
       if (!is_ident(toks[k]) || toks[k].text != "reinterpret_cast") continue;
@@ -766,8 +770,7 @@ Summary Pass::compute(const FnCtx& ctx, bool report_pass,
       if (!seen.insert(desc).second) continue;
       add_node("source:" + desc, TaintFlowNode::Kind::kSource);
       add_node("fn:" + ctx.qualified, TaintFlowNode::Kind::kFunction);
-      add_edge("source:" + desc, "fn:" + ctx.qualified,
-               file_path + ":" + std::to_string(toks[k].line), false);
+      add_edge("source:" + desc, "fn:" + ctx.qualified, file_path, false);
     }
     // Cold parameter-to-sink routes only for functions that sit on the
     // boundary themselves (observe a source): the full project-wide

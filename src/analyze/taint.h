@@ -51,7 +51,7 @@ struct TaintFlowNode {
 struct TaintFlowEdge {
   std::string from;
   std::string to;
-  std::string label;  ///< witness "file:line", or the parameter name
+  std::string label;  ///< witness file, or the parameter name
   bool hot = false;
 };
 

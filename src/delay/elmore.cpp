@@ -21,14 +21,6 @@ double node_load(const graph::GraphNode& n, const spice::Technology& tech) {
 
 }  // namespace
 
-double tree_total_capacitance(const graph::RoutingGraph& g,
-                              const spice::Technology& tech) {
-  double total = 0.0;
-  for (const graph::GraphEdge& e : g.edges()) total += edge_capacitance(e, tech);
-  for (const graph::GraphNode& n : g.nodes()) total += node_load(n, tech);
-  return total;
-}
-
 std::vector<double> elmore_node_delays(const graph::RoutingGraph& g,
                                        const graph::RootedTree& tree,
                                        const spice::Technology& tech) {

@@ -71,8 +71,4 @@ class TreeLeafElmore {
 /// max over sinks of elmore_node_delays: the paper's t_ED(T(N)).
 double elmore_tree_delay(const graph::RoutingGraph& g, const spice::Technology& tech);
 
-/// Total capacitance seen by the driver: all edge caps plus sink loads.
-double tree_total_capacitance(const graph::RoutingGraph& g,
-                              const spice::Technology& tech);
-
 }  // namespace ntr::delay

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "delay/evaluator.h"
 #include "delay/moments.h"
 #include "geom/point.h"
-#include "linalg/sparse.h"
 #include "linalg/sparse_cholesky.h"
 
 namespace ntr::delay {
@@ -16,8 +16,9 @@ IncrementalElmore::IncrementalElmore(const graph::RoutingGraph& g,
                                      const spice::Technology& tech)
     : g_(&g), tech_(tech), node_count_(g.node_count()) {
   const std::size_t n = node_count_;
-  const linalg::EnvelopeCholesky chol(grounded_conductance_csr(g, tech_));
-  m1_ = chol.solve(grounded_capacitance(g, tech_));
+  const GroundedSystem sys = assemble_grounded_system(g, tech_);
+  const linalg::EnvelopeCholesky chol(sys.conductance);
+  m1_ = std::move(moments(chol, sys.capacitance, 1).front());
 
   // Rows of R: the sinks first, in g.sinks() order, then the other nodes.
   slot_.assign(n, 0);
@@ -35,9 +36,8 @@ IncrementalElmore::IncrementalElmore(const graph::RoutingGraph& g,
   // a column belongs to node order[i]. This one setup is amortized over the
   // O(n^2) candidate queries of one LDRG round.
   const std::span<const std::size_t> order = chol.order();
-  const auto node_at = [&](std::size_t i) { return order.empty() ? i : order[i]; };
   std::vector<std::size_t> row_slot(n);
-  for (std::size_t i = 0; i < n; ++i) row_slot[i] = slot_[node_at(i)];
+  for (std::size_t i = 0; i < n; ++i) row_slot[i] = slot_[order[i]];
   transfer_.resize(n * n);
   constexpr std::size_t kWidth = linalg::EnvelopeCholesky::kUnitColumns;
   std::vector<double> block(kWidth * n);
@@ -45,7 +45,7 @@ IncrementalElmore::IncrementalElmore(const graph::RoutingGraph& g,
     const std::size_t count = std::min(kWidth, n - k);
     chol.solve_unit_columns(k, count, block);
     for (std::size_t j = 0; j < count; ++j) {
-      double* column = transfer_.data() + node_at(k + j) * n;
+      double* column = transfer_.data() + order[k + j] * n;
       for (std::size_t i = 0; i < n; ++i) column[row_slot[i]] = block[kWidth * i + j];
     }
   }
@@ -151,25 +151,11 @@ void IncrementalElmore::exact_sink_delays(graph::NodeId u, graph::NodeId v,
 
 std::vector<double> IncrementalElmore::candidate_delays_exact(
     graph::NodeId u, graph::NodeId v) const {
-  const std::size_t n = node_count_;
-  if (u >= n || v >= n || u == v)
-    throw std::invalid_argument("candidate_delays_exact: invalid node pair");
   // The trial system is the attached one plus a wire (u,v); for a pair
   // that is already wired, that is a doubled wire, which RoutingGraph
   // cannot represent (add_edge dedups).
-  const double length = geom::manhattan_distance(g_->node(u).pos, g_->node(v).pos);
-  const double g_e = wire_conductance(length, 1.0, tech_);
-  const double c_half = tech_.wire_capacitance(length, 1.0) / 2.0;
-  linalg::TripletBuilder builder(n, n);
-  stamp_grounded_conductance(*g_, tech_, builder);
-  builder.add(u, u, g_e);
-  builder.add(v, v, g_e);
-  builder.add(u, v, -g_e);
-  builder.add(v, u, -g_e);
-  std::vector<double> cap = grounded_capacitance(*g_, tech_);
-  cap[u] += c_half;
-  cap[v] += c_half;
-  return linalg::EnvelopeCholesky(linalg::CsrMatrix(builder)).solve(cap);
+  return std::move(
+      moments(assemble_grounded_system(*g_, tech_, ExtraWire{u, v}), 1).front());
 }
 
 IncrementalElmoreStats IncrementalElmore::stats() const {

@@ -1,10 +1,13 @@
 #pragma once
 
+#include <cstddef>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/routing_graph.h"
-#include "linalg/dense_matrix.h"
 #include "linalg/sparse.h"
+#include "linalg/sparse_cholesky.h"
 #include "spice/technology.h"
 
 namespace ntr::delay {
@@ -27,14 +30,12 @@ struct MomentAnalysis {
 MomentAnalysis moment_analysis(const graph::RoutingGraph& g,
                                const spice::Technology& tech);
 
-/// The grounded node system behind the moment computations: SPD
+/// The grounded node system behind every moment solve: the SPD
 /// conductance matrix G (wire conductances + the Norton-transformed
 /// driver at the source) and the diagonal capacitance vector C (half of
-/// each wire cap at either endpoint + sink loads). Exposed for engines
-/// that build on the same electrical model (the candidate screener, delay
-/// bounds, tests).
+/// each wire cap at either endpoint + sink loads).
 struct GroundedSystem {
-  linalg::DenseMatrix conductance;
+  linalg::CsrMatrix conductance;
   std::vector<double> capacitance;
 };
 
@@ -42,30 +43,28 @@ struct GroundedSystem {
 /// zero-length wires get the same numerical short as the netlist builder.
 double wire_conductance(double length_um, double width, const spice::Technology& tech);
 
+/// A unit-width wire between two distinct nodes of a routing graph.
+struct ExtraWire {
+  graph::NodeId u = 0;
+  graph::NodeId v = 0;
+};
+
+/// Stamps the grounded system of g, plus `extra` on top of g's own wires
+/// (a doubled wire when the pair is wired already). G takes the edges in
+/// graph order, the driver, then `extra`; C the edge halves, the sink
+/// loads, then `extra`'s halves. Throws std::invalid_argument when g is
+/// not connected or `extra` is not a wire of g's nodes.
 GroundedSystem assemble_grounded_system(const graph::RoutingGraph& g,
-                                        const spice::Technology& tech);
+                                        const spice::Technology& tech,
+                                        std::optional<ExtraWire> extra = std::nullopt);
 
-/// The same conductance matrix in CSR form (for the sparse solver path).
-linalg::CsrMatrix grounded_conductance_csr(const graph::RoutingGraph& g,
-                                           const spice::Technology& tech);
-
-/// Stamps the entries of grounded_conductance_csr into `builder` (n x n),
-/// so a caller can stamp more wires before freezing the pattern.
-void stamp_grounded_conductance(const graph::RoutingGraph& g,
-                                const spice::Technology& tech,
-                                linalg::TripletBuilder& builder);
-
-/// The diagonal capacitance vector C of the grounded system.
-std::vector<double> grounded_capacitance(const graph::RoutingGraph& g,
-                                         const spice::Technology& tech);
-
-/// Node count above which moment_analysis / graph_elmore_delays switch
-/// from the dense Cholesky to the RCM + envelope-Cholesky sparse path.
-/// Routing-graph conductance matrices are near-planar and low-degree, so
-/// the sparse path wins quickly: bench/ablation_sparse_scaling times a
-/// full solve both ways, and the envelope path is 0.9x the dense one at
-/// 30 pins, 1.3x at 40 and 7x at 100.
-inline constexpr std::size_t kDenseMomentNodeLimit = 40;
+/// m_1 .. m_count from one factor of G: m_1 = G^{-1} C 1 and
+/// m_{k+1} = G^{-1} (C m_k), right-hand side entries C[i] * m_k[i]. The
+/// second form factors sys.conductance itself.
+std::vector<std::vector<double>> moments(const linalg::EnvelopeCholesky& g_factor,
+                                         std::span<const double> capacitance,
+                                         std::size_t count);
+std::vector<std::vector<double>> moments(const GroundedSystem& sys, std::size_t count);
 
 /// Per-node Elmore delay of an arbitrary routing graph (m1 only).
 std::vector<double> graph_elmore_delays(const graph::RoutingGraph& g,

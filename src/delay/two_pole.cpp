@@ -5,8 +5,6 @@
 #include <stdexcept>
 
 #include "delay/moments.h"
-#include "linalg/dense_matrix.h"
-#include "linalg/sparse_cholesky.h"
 
 namespace ntr::delay {
 
@@ -108,31 +106,11 @@ TwoPoleModel fit(double m1, double m2, double m3) {
 
 std::vector<TwoPoleModel> two_pole_models(const graph::RoutingGraph& g,
                                           const spice::Technology& tech) {
-  // Three moment solves: m1 = A c, m2 = A C m1, m3 = A C m2 with
-  // A = G^{-1} (dense or sparse path by size, like moment_analysis).
-  const GroundedSystem sys = assemble_grounded_system(g, tech);
-  const std::size_t n = sys.capacitance.size();
-  std::vector<double> m1, m2, m3;
-  const auto scale_by_cap = [&](const std::vector<double>& v) {
-    std::vector<double> out(n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = sys.capacitance[i] * v[i];
-    return out;
-  };
-  if (n > kDenseMomentNodeLimit) {
-    const linalg::EnvelopeCholesky chol(grounded_conductance_csr(g, tech));
-    m1 = chol.solve(sys.capacitance);
-    m2 = chol.solve(scale_by_cap(m1));
-    m3 = chol.solve(scale_by_cap(m2));
-  } else {
-    const linalg::CholeskyFactorization chol(sys.conductance);
-    m1 = chol.solve(sys.capacitance);
-    m2 = chol.solve(scale_by_cap(m1));
-    m3 = chol.solve(scale_by_cap(m2));
-  }
-
-  std::vector<TwoPoleModel> models;
-  models.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) models.push_back(fit(m1[i], m2[i], m3[i]));
+  const std::vector<std::vector<double>> m =
+      moments(assemble_grounded_system(g, tech), 3);
+  std::vector<TwoPoleModel> models(m[0].size());
+  for (std::size_t i = 0; i < models.size(); ++i)
+    models[i] = fit(m[0][i], m[1][i], m[2][i]);
   return models;
 }
 

@@ -1,10 +1,14 @@
 #include "io/cli.h"
 
 #include <charconv>
+#include <chrono>
 #include <cmath>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <system_error>
+#include <thread>
 
 namespace ntr::io {
 
@@ -40,7 +44,8 @@ algorithm:
   --brbc EPS          BRBC with radius slack EPS >= 0
   --max-edges K       cap on extra LDRG edges
   --threads N         LDRG candidate-evaluation threads (0 = all cores,
-                      default 1); the routing is bit-identical for any N
+                      default 1, at most 256); the routing is bit-identical
+                      for any N
   --evaluator NAME    transient|elmore|graph-elmore|d2m (default transient)
 
 fault tolerance:
@@ -128,6 +133,46 @@ std::uint16_t parse_port(std::string_view flag, std::string_view value) {
   return static_cast<std::uint16_t>(v);
 }
 
+std::size_t parse_lanes(std::string_view flag, std::string_view value) {
+  const std::uint64_t v = parse_uint(flag, value);
+  if (v > kMaxLanes)
+    throw bad_value(flag, value, "a count of at most " + std::to_string(kMaxLanes));
+  return static_cast<std::size_t>(v);
+}
+
+std::vector<std::size_t> parse_sizes(std::string_view flag, std::string_view text) {
+  std::vector<std::size_t> sizes;
+  for (;;) {
+    const std::size_t comma = text.find(',');
+    const std::string_view item = text.substr(0, comma);
+    sizes.push_back(parse_uint(flag, item));
+    if (sizes.back() < 2) throw bad_value(flag, item, "a net size of at least 2 pins");
+    if (comma == std::string_view::npos) return sizes;
+    text.remove_prefix(comma + 1);
+  }
+}
+
+std::optional<std::uint16_t> port_file_text(std::string_view text) {
+  if (!text.ends_with('\n')) return std::nullopt;
+  try {
+    const std::uint16_t port = parse_port("port file", text.substr(0, text.size() - 1));
+    if (port != 0) return port;
+  } catch (const std::invalid_argument&) {
+    // Not a port (yet): the caller reads the file again.
+  }
+  return std::nullopt;
+}
+
+std::optional<std::uint16_t> read_port_file(const std::string& path) {
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    std::ifstream in(path);
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    if (const std::optional<std::uint16_t> port = port_file_text(text)) return port;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  return std::nullopt;
+}
+
 CliOptions parse_cli(std::span<const std::string> args) {
   CliOptions opts;
   const auto next = [&](std::size_t& i, const std::string& flag) -> const std::string& {
@@ -156,7 +201,7 @@ CliOptions parse_cli(std::span<const std::string> args) {
     } else if (arg == "--max-edges") {
       opts.max_edges = parse_uint(arg, next(i, arg));
     } else if (arg == "--threads") {
-      opts.threads = parse_uint(arg, next(i, arg));
+      opts.threads = parse_lanes(arg, next(i, arg));
     } else if (arg == "--pd") {
       opts.pd_c = parse_double(arg, next(i, arg));
       if (opts.pd_c < 0.0 || opts.pd_c > 1.0)

@@ -5,6 +5,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/resilience.h"
 #include "core/solver.h"
@@ -70,6 +71,20 @@ core::Strategy strategy_from_name(const std::string& name);
 [[nodiscard]] double parse_double(std::string_view flag, std::string_view value);
 /// A TCP port: an integer of at most 65535.
 [[nodiscard]] std::uint16_t parse_port(std::string_view flag, std::string_view value);
+/// A lane or client count (--threads, --clients, NTR_THREADS): an integer
+/// of at most kMaxLanes, so no typo can ask for billions of threads.
+inline constexpr std::size_t kMaxLanes = 256;
+[[nodiscard]] std::size_t parse_lanes(std::string_view flag, std::string_view value);
+/// A comma-separated list of net sizes (--sizes, NTR_SIZES), each at least 2.
+[[nodiscard]] std::vector<std::size_t> parse_sizes(std::string_view flag,
+                                                   std::string_view text);
+
+/// The port a port file holds: its whole text is a port of 1..65535 and
+/// the newline its writer ends it with (an empty, half-written or garbled
+/// file holds none). read_port_file polls `path` for about 10 s until it
+/// holds one; a tool writes the file only once it listens.
+[[nodiscard]] std::optional<std::uint16_t> port_file_text(std::string_view text);
+[[nodiscard]] std::optional<std::uint16_t> read_port_file(const std::string& path);
 
 /// Process exit codes shared by the tools (documented in --help). Distinct
 /// codes let scripts tell a usage mistake from a bad input file from a

@@ -20,38 +20,11 @@ Vector DenseMatrix::multiply(std::span<const double> x) const {
   if (x.size() != cols_) throw std::invalid_argument("DenseMatrix::multiply: size");
   Vector y(rows_, 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {
-    const std::span<const double> rr = row(r);
     double s = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) s += rr[c] * x[c];
+    for (std::size_t c = 0; c < cols_; ++c) s += data_[r * cols_ + c] * x[c];
     y[r] = s;
   }
   return y;
-}
-
-DenseMatrix& DenseMatrix::operator+=(const DenseMatrix& other) {
-  if (rows_ != other.rows_ || cols_ != other.cols_)
-    throw std::invalid_argument("DenseMatrix::operator+=: shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
-DenseMatrix& DenseMatrix::operator*=(double alpha) {
-  for (double& v : data_) v *= alpha;
-  return *this;
-}
-
-double DenseMatrix::max_abs() const {
-  double m = 0.0;
-  for (const double v : data_) m = std::max(m, std::abs(v));
-  return m;
-}
-
-bool DenseMatrix::is_symmetric(double tol) const {
-  if (rows_ != cols_) return false;
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = r + 1; c < cols_; ++c)
-      if (std::abs((*this)(r, c) - (*this)(c, r)) > tol) return false;
-  return true;
 }
 
 LuFactorization::LuFactorization(DenseMatrix a) : lu_(std::move(a)) {

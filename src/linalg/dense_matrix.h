@@ -8,12 +8,11 @@
 
 namespace ntr::linalg {
 
-/// Row-major dense square-or-rectangular matrix of doubles. Dense
-/// factorizations serve small systems and the indefinite MNA systems of
-/// RLC decks. Circuit conductance matrices are sparse, and the envelope
-/// factorization of linalg/sparse_cholesky.h serves them where speed
-/// matters: the transient march of RC decks at every size, and the moment
-/// engine above 320 nodes.
+/// Row-major dense square-or-rectangular matrix of doubles. Dense LU
+/// serves the indefinite MNA systems of RLC decks, and the dense Cholesky
+/// is the reference the tests hold the envelope factor to. Every RC
+/// conductance system (the transient march of RC decks, every moment
+/// solve) is factored by the envelope L D L^T of linalg/sparse_cholesky.h.
 class DenseMatrix {
  public:
   DenseMatrix() = default;
@@ -28,21 +27,8 @@ class DenseMatrix {
   double& operator()(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
   double operator()(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
 
-  [[nodiscard]] std::span<const double> row(std::size_t r) const {
-    return {data_.data() + r * cols_, cols_};
-  }
-  [[nodiscard]] std::span<double> row(std::size_t r) {
-    return {data_.data() + r * cols_, cols_};
-  }
-
   /// y = A x
   [[nodiscard]] Vector multiply(std::span<const double> x) const;
-
-  DenseMatrix& operator+=(const DenseMatrix& other);
-  DenseMatrix& operator*=(double alpha);
-
-  [[nodiscard]] double max_abs() const;
-  [[nodiscard]] bool is_symmetric(double tol = 1e-12) const;
 
  private:
   std::size_t rows_ = 0;
@@ -76,7 +62,8 @@ class LuFactorization {
 
 /// Cholesky factorization A = L L^T for symmetric positive definite
 /// matrices (conductance matrices of connected RC networks are SPD once
-/// grounded). Roughly half the work of LU; throws ntr::runtime::NtrError
+/// grounded): the dense reference for the envelope factor, used by the
+/// tests and bench/ablation_sparse_scaling. Throws ntr::runtime::NtrError
 /// (StatusCode::kSingular) if the matrix is not positive definite.
 class CholeskyFactorization {
  public:

@@ -81,14 +81,12 @@ Envelope::Envelope(const CsrMatrix& a, std::span<const std::size_t> order) {
   }
 }
 
-EnvelopeCholesky::EnvelopeCholesky(const CsrMatrix& a, bool reorder) {
+EnvelopeCholesky::EnvelopeCholesky(const CsrMatrix& a) {
   if (a.cols() != a.rows())
     throw std::invalid_argument("EnvelopeCholesky: matrix must be square");
-  if (reorder) {
-    perm_ = reverse_cuthill_mckee(a);
-    inv_perm_.resize(perm_.size());
-    for (std::size_t i = 0; i < perm_.size(); ++i) inv_perm_[perm_[i]] = i;
-  }
+  perm_ = reverse_cuthill_mckee(a);
+  inv_perm_.resize(perm_.size());
+  for (std::size_t i = 0; i < perm_.size(); ++i) inv_perm_[perm_[i]] = i;
   envelope_ = std::make_shared<const Envelope>(a, perm_);
   load(a);
   factor();

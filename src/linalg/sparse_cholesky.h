@@ -46,15 +46,15 @@ struct Envelope {
 /// CholeskyFactorization cannot provide beyond a few hundred nodes.
 class EnvelopeCholesky {
  public:
-  /// Factors P A P^T where P is reverse_cuthill_mckee(A)'s permutation
-  /// (pass reorder = false to keep the natural order). Throws
-  /// ntr::runtime::NtrError (StatusCode::kSingular) if A is not
+  /// Factors P A P^T where P is reverse_cuthill_mckee(A)'s permutation.
+  /// Throws ntr::runtime::NtrError (StatusCode::kSingular) if A is not
   /// positive definite.
-  explicit EnvelopeCholesky(const CsrMatrix& a, bool reorder = true);
+  explicit EnvelopeCholesky(const CsrMatrix& a);
 
   /// Factors A in its own order over a shared `envelope`, which must
-  /// cover A's lower triangle (std::invalid_argument otherwise). Throws
-  /// like the constructor above when A is not positive definite.
+  /// cover A's lower triangle (std::invalid_argument otherwise); an
+  /// Envelope of A itself gives the natural-order factor. Throws like the
+  /// constructor above when A is not positive definite.
   EnvelopeCholesky(std::shared_ptr<const Envelope> envelope, const CsrMatrix& a);
 
   [[nodiscard]] std::size_t size() const { return envelope_->size(); }
@@ -66,7 +66,7 @@ class EnvelopeCholesky {
   /// is formed row by row inside the forward sweep, where it overlaps the
   /// sweep's dependency chain. Works in elimination order: for a factor
   /// built with reordering, x, M and v are permuted like A; for one built
-  /// without it or over a shared Envelope, they are as given.
+  /// over a shared Envelope, they are as given.
   void solve_in_place(std::span<double> x, const CsrMatrix& m,
                       std::span<const double> v) const;
 

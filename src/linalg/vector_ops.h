@@ -23,10 +23,6 @@ inline void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
-inline void scale(double alpha, std::span<double> x) {
-  for (double& v : x) v *= alpha;
-}
-
 inline double norm2(std::span<const double> x) { return std::sqrt(dot(x, x)); }
 
 inline double norm_inf(std::span<const double> x) {

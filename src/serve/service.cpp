@@ -124,7 +124,6 @@ Response route_net(const Request& request, std::size_t net_index,
   core::SolverConfig solver;
   solver.tech = config.tech;
   solver.ldrg.max_added_edges = request.max_edges;
-  solver.parallel = config.parallel;
   core::ResilienceOptions resilience;
   resilience.on_error = request.on_error;
   resilience.stop = stop;
@@ -199,7 +198,6 @@ std::vector<Response> route_flow(const Request& request,
   options.tech = config.tech;
   options.clock_period_s = request.clock_period_s;
   options.ldrg.max_added_edges = request.max_edges;
-  options.parallel = config.parallel;
   options.resilience.on_error = request.on_error;
   options.resilience.stop = stop;
 

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/parallel.h"
 #include "runtime/stop.h"
 #include "serve/protocol.h"
 #include "spice/technology.h"
@@ -28,10 +27,6 @@ struct ServiceConfig {
   double default_deadline_ms = 0.0;
   /// Hard per-request cap (a client cannot buy more than this). 0 = no cap.
   double max_deadline_ms = 0.0;
-  /// Solver lanes *inside* one request's solve. Default serial: the
-  /// service's parallelism is across requests (worker lanes), and nested
-  /// pools would oversubscribe the host.
-  core::ParallelConfig parallel{};
   /// Honors Request::debug_wedge_ms (a deliberately wedged lane for the
   /// watchdog tests). Off by default; requests carrying the field are
   /// rejected as kBadRequest so production servers cannot be wedged.

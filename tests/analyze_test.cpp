@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <tuple>
@@ -88,6 +89,7 @@ TEST(AnalyzeFixtures, DetectsEverySeededViolation) {
       "src/engine/taint_callee_bad.cpp:21:wire-taint",
       "src/engine/taint_chain_a.cpp:15:wire-taint",
       "src/engine/taint_direct_bad.cpp:17:wire-taint",
+      "src/engine/taint_from_chars_bad.cpp:16:wire-taint",
       "src/rogue/rogue.h:1:unknown-module",
       "src/runtime/bad_throw.cpp:6:untyped-throw",
       "src/serve/bad_narrowing.cpp:12:unchecked-narrowing",
@@ -130,6 +132,8 @@ TEST(AnalyzeFixtures, SemanticNegativesProduceNoFindings) {
     EXPECT_NE(d.file, "src/engine/locks_suppressed_ok.cpp")
         << d.rule << ": " << d.message;
     EXPECT_NE(d.file, "src/engine/taint_sanitized_ok.cpp")
+        << d.rule << ": " << d.message;
+    EXPECT_NE(d.file, "src/engine/taint_from_chars_ok.cpp")
         << d.rule << ": " << d.message;
     EXPECT_NE(d.file, "src/engine/taint_suppressed_ok.cpp")
         << d.rule << ": " << d.message;
@@ -202,6 +206,35 @@ TEST(AnalyzeFixtures, TaintGraphDotIsDeterministic) {
   const std::string first = taint_graph_dot(analyze_fixture().taintgraph);
   const std::string second = taint_graph_dot(analyze_fixture().taintgraph);
   EXPECT_EQ(first, second);
+}
+
+// The checked-in figures label an edge with its witness's file, not its
+// line: three comment lines inserted atop every source move the findings
+// down but leave both figures byte-identical.
+TEST(AnalyzeFixtures, FiguresIgnoreLinesInsertedAboveTheirWitnesses) {
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) /
+      ("ntr_analyze_shifted_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  std::filesystem::copy(fixture_root(), root, std::filesystem::copy_options::recursive);
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(root / "src")) {
+    if (entry.path().extension() != ".cpp") continue;
+    std::ifstream in(entry.path());
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    in.close();
+    std::ofstream(entry.path()) << "// one\n// two\n// three\n" << text;
+  }
+  AnalyzeOptions options;
+  options.root = root;
+  options.layer_config_path = root / "layering.conf";
+  options.paths = {root / "src"};
+  const AnalyzeResult shifted = analyze(options);
+  const AnalyzeResult original = analyze_fixture();
+  ASSERT_TRUE(shifted.error.empty()) << shifted.error;
+  EXPECT_NE(finding_keys(shifted), finding_keys(original));
+  EXPECT_EQ(taint_graph_dot(shifted.taintgraph), taint_graph_dot(original.taintgraph));
+  EXPECT_EQ(lock_graph_dot(shifted.lockgraph), lock_graph_dot(original.lockgraph));
+  std::filesystem::remove_all(root);
 }
 
 TEST(AnalyzeFixtures, ReentrancyMessagesNameWitnesses) {

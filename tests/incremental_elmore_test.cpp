@@ -53,8 +53,7 @@ TEST(IncrementalElmore, BaseDelaysMatchFullGraphElmore) {
 
 // The property test: on 200 random nets, the Sherman-Morrison delta for
 // a random absent edge agrees with a from-scratch recompute of the trial
-// graph to 1e-12 (relative). One net in four has 100-160 pins, past the
-// moment engine's dense/envelope switch.
+// graph to 1e-12 (relative). One net in four has 100-160 pins.
 TEST(IncrementalElmore, DeltaMatchesFullRecomputeOn200RandomNets) {
   std::mt19937_64 rng(19940101);
   for (int trial = 0; trial < 200; ++trial) {
@@ -163,8 +162,8 @@ void expect_scorer_matches_trials(const DelayEvaluator& eval,
 
 class ScorerContractTest : public ::testing::TestWithParam<std::size_t> {};
 
-// MST and non-tree bases below the moment switch, past it, and past its
-// old 320-node position, for both graph-Elmore evaluators.
+// MST and non-tree bases from the paper's sizes to 400 pins, for both
+// graph-Elmore evaluators.
 TEST_P(ScorerContractTest, SinkDelaysMatchMaterializedTrials) {
   const std::size_t pins = GetParam();
   expt::NetGenerator gen(500 + pins);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -169,6 +173,57 @@ TEST(CliNumbers, PortsStopAt65535) {
   EXPECT_EQ(parse_port("--port", "65535"), 65535u);
   for (const char* bad : {"65536", "70000", "-1", "18446744073709551615"})
     EXPECT_THROW((void)parse_port("--port", bad), std::invalid_argument) << bad;
+}
+
+// Lane and client counts share one bound; checked at parse time only, so
+// no test here starts a thread.
+TEST(CliNumbers, LaneCountsStopAtTheBound) {
+  EXPECT_EQ(parse_lanes("--threads", "0"), 0u);
+  EXPECT_EQ(parse_lanes("--threads", std::to_string(kMaxLanes)), kMaxLanes);
+  for (const std::string& bad : {std::to_string(kMaxLanes + 1), std::string("65536"),
+                                 std::string("18446744073709551615"), std::string("-1"),
+                                 std::string("4x")})
+    EXPECT_THROW((void)parse_lanes("--clients", bad), std::invalid_argument) << bad;
+  try {
+    (void)parse_lanes("NTR_THREADS", "100000");
+    ADD_FAILURE() << "100000 lanes parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("NTR_THREADS expects"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(parse_cli(args({"--random", "5", "--threads", "256"})).threads, 256u);
+  EXPECT_THROW(parse_cli(args({"--random", "5", "--threads", "257"})),
+               std::invalid_argument);
+}
+
+// NTR_SIZES and ntr_experiment --sizes: every entry is a net of at least
+// two pins; an empty entry (including an empty list) is an error.
+TEST(CliNumbers, SizeListsAreExact) {
+  EXPECT_EQ(parse_sizes("--sizes", "6"), (std::vector<std::size_t>{6}));
+  EXPECT_EQ(parse_sizes("NTR_SIZES", "2,10,400"), (std::vector<std::size_t>{2, 10, 400}));
+  for (const char* bad : {"", ",", "5,", ",5", "5,,10", "5,1", "0", "5;10", "5, 10", "x"})
+    EXPECT_THROW((void)parse_sizes("NTR_SIZES", bad), std::invalid_argument) << bad;
+  try {
+    (void)parse_sizes("NTR_SIZES", "10,1,20");
+    ADD_FAILURE() << "a 1-pin net parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "NTR_SIZES expects a net size of at least 2 pins, got '1'");
+  }
+}
+
+// ntr_serve and ntr_chaosproxy end a port file with a newline, so text
+// without one may be a half-written port ("80" of "8080").
+TEST(PortFile, TextIsOnePortAndItsNewline) {
+  EXPECT_EQ(port_file_text("8080\n"), std::optional<std::uint16_t>(8080));
+  EXPECT_EQ(port_file_text("65535\n"), std::optional<std::uint16_t>(65535));
+  for (const char* bad : {"", "\n", "80", "8080", "8080x\n", "abc\n", " 8080\n",
+                          "8080\n\n", "-1\n", "0\n", "65536\n"})
+    EXPECT_EQ(port_file_text(bad), std::nullopt) << bad;
+  const std::string path = ::testing::TempDir() + "io_test_port_file";
+  std::ofstream(path) << 4242 << "\n";
+  EXPECT_EQ(read_port_file(path), std::optional<std::uint16_t>(4242));
+  std::remove(path.c_str());
 }
 
 TEST(Cli, HelpBypassesValidation) {

@@ -5,16 +5,21 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "delay/incremental_elmore.h"
 #include "delay/moments.h"
 #include "expt/net_generator.h"
+#include "geom/point.h"
 #include "graph/routing_graph.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/sparse_cholesky.h"
+#include "steiner/iterated_one_steiner.h"
 
 namespace ntr::linalg {
 namespace {
@@ -135,8 +140,8 @@ TEST(EnvelopeCholesky, ReorderingShrinksTheEnvelope) {
   }
   tb.add(label[0], label[0], 1.0);
   const CsrMatrix a = CsrMatrix(tb);
-  const EnvelopeCholesky reordered(a, /*reorder=*/true);
-  const EnvelopeCholesky natural(a, /*reorder=*/false);
+  const EnvelopeCholesky reordered(a);
+  const EnvelopeCholesky natural(std::make_shared<const Envelope>(a), a);
   EXPECT_LT(reordered.stored_entries() * 4, natural.stored_entries());
 }
 
@@ -171,7 +176,8 @@ TEST(EnvelopeCholesky, MatchesDenseCholeskyOnA1024NodeGrid) {
 
 TEST(EnvelopeCholesky, SharedEnvelopeFactorsEveryMatrixOnThePattern) {
   // G and G + sI share G's envelope; the fused solve forms x + M v inside
-  // the forward sweep and must equal solving for that right-hand side.
+  // the forward sweep and must equal a dense Cholesky solve of A for that
+  // right-hand side.
   const std::size_t n = 40;
   const CsrMatrix g = random_laplacian(n, 5);
   const auto envelope = std::make_shared<const Envelope>(g);
@@ -181,14 +187,13 @@ TEST(EnvelopeCholesky, SharedEnvelopeFactorsEveryMatrixOnThePattern) {
       if (g.col_idx()[k] == r) shifted[k] += 3.0;
   const CsrMatrix a = g.with_values(shifted);
   const EnvelopeCholesky shared(envelope, a);
-  const EnvelopeCholesky own(a, /*reorder=*/false);
   EXPECT_EQ(shared.stored_entries(), envelope->stored_entries());
 
   const Vector b = random_vector(n, 8);
   const Vector v = random_vector(n, 9);
   Vector rhs = g.multiply(v);
   for (std::size_t i = 0; i < n; ++i) rhs[i] += b[i];
-  const Vector expected = own.solve(rhs);
+  const Vector expected = CholeskyFactorization(a.to_dense()).solve(rhs);
   Vector x = b;
   shared.solve_in_place(x, g, v);
   for (std::size_t i = 0; i < n; ++i)
@@ -220,13 +225,16 @@ TEST(EnvelopeCholesky, UnitColumnsMatchSingleSolvesBitForBit) {
     systems.emplace_back("non-tree", random_laplacian(n, 31 + static_cast<unsigned>(n)));
     if (n >= 2) {
       expt::NetGenerator gen(n);
-      systems.emplace_back("tree", delay::grounded_conductance_csr(
+      systems.emplace_back("tree", delay::assemble_grounded_system(
                                        graph::mst_routing(gen.random_net(n)),
-                                       spice::kTable1Technology));
+                                       spice::kTable1Technology)
+                                       .conductance);
     }
     for (const auto& [kind, a] : systems) {
       for (const bool reorder : {false, true}) {
-        const EnvelopeCholesky chol(a, reorder);
+        const EnvelopeCholesky chol =
+            reorder ? EnvelopeCholesky(a)
+                    : EnvelopeCholesky(std::make_shared<const Envelope>(a), a);
         const std::string context =
             kind + " n " + std::to_string(n) + (reorder ? " RCM" : " natural");
         std::vector<double> want(n * n, 0.0);  // column k at want[k * n]
@@ -292,36 +300,159 @@ TEST(EnvelopeCholesky, RejectsIndefinite) {
 namespace ntr::delay {
 namespace {
 
-TEST(SparseMoments, SparsePathMatchesDensePath) {
-  // A net large enough to trip the sparse dispatch (limit 40 nodes):
-  // 400 pins. Compare against the dense path run via the exposed
-  // assembly on the same graph.
-  expt::NetGenerator gen(31);
-  const graph::Net net = gen.random_net(400);
-  const graph::RoutingGraph g = graph::mst_routing(net);
-  ASSERT_GT(g.node_count(), kDenseMomentNodeLimit);
+const spice::Technology kTech = spice::kTable1Technology;
 
-  const std::vector<double> sparse = graph_elmore_delays(g, spice::kTable1Technology);
-
-  const GroundedSystem sys = assemble_grounded_system(g, spice::kTable1Technology);
-  const linalg::CholeskyFactorization dense(sys.conductance);
-  const std::vector<double> reference = dense.solve(sys.capacitance);
-
-  ASSERT_EQ(sparse.size(), reference.size());
-  for (std::size_t i = 0; i < sparse.size(); ++i)
-    EXPECT_NEAR(sparse[i], reference[i], reference[i] * 1e-6 + 1e-18);
+/// m_1 .. m_3 of sys by a dense Cholesky of its to_dense() conductance.
+std::vector<std::vector<double>> dense_moments(const GroundedSystem& sys) {
+  const linalg::CholeskyFactorization chol(sys.conductance.to_dense());
+  std::vector<std::vector<double>> m{chol.solve(sys.capacitance)};
+  while (m.size() < 3) {
+    std::vector<double> rhs(sys.capacitance.size());
+    for (std::size_t i = 0; i < rhs.size(); ++i)
+      rhs[i] = sys.capacitance[i] * m.back()[i];
+    m.push_back(chol.solve(rhs));
+  }
+  return m;
 }
 
+/// Every entry of got within `tol` of want's largest magnitude.
+void expect_close(const std::vector<double>& got, const std::vector<double>& want,
+                  double tol, const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  double scale = 0.0;
+  for (const double x : want) scale = std::max(scale, std::abs(x));
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_NEAR(got[i], want[i], tol * scale) << context << " node " << i;
+}
+
+/// The routing plus `extra` absent pairs, each wired with a unit wire.
+graph::RoutingGraph with_chords(graph::RoutingGraph g, std::size_t extra, unsigned seed) {
+  std::mt19937 rng(seed);
+  for (std::size_t added = 0; added < extra;) {
+    const auto u = static_cast<graph::NodeId>(rng() % g.node_count());
+    const auto v = static_cast<graph::NodeId>(rng() % g.node_count());
+    if (u == v || g.has_edge(u, v)) continue;
+    g.add_edge(u, v);
+    ++added;
+  }
+  return g;
+}
+
+// The one moment engine (the builder's CSR system on its envelope factor)
+// against a dense Cholesky of the same system, on trees and non-trees of 5
+// to 40 nodes and on nets of 120 and 400 pins:
+// m1, m2 and m3 to 1e-12 of the largest entry, or 1e-11 on Steiner trees,
+// whose micron-length edges make the system ill-conditioned. The public
+// entry points return the engine's moments bit for bit. IncrementalElmore's
+// exact path on an already-wired pair stamps a second wire in parallel
+// with the first: the same system as that wire at double width.
+TEST(SparseMoments, SparsePathMatchesDensePath) {
+  std::vector<std::tuple<std::string, graph::RoutingGraph, double>> cases;
+  for (const std::size_t pins : {5u, 10u, 20u, 30u, 40u, 120u, 400u}) {
+    expt::NetGenerator gen(40 + pins);
+    const graph::Net net = gen.random_net(pins);
+    const graph::RoutingGraph mst = graph::mst_routing(net);
+    cases.emplace_back("MST", mst, 1e-12);
+    cases.emplace_back("MST + 3 wires",
+                       with_chords(mst, 3, static_cast<unsigned>(pins)), 1e-12);
+    if (pins <= 20)
+      cases.emplace_back("Steiner", steiner::iterated_one_steiner(net).graph, 1e-11);
+  }
+  bool above_40 = false;
+  for (const auto& [kind, g, tol] : cases) {
+    const std::string context = kind + " n " + std::to_string(g.node_count());
+    above_40 |= g.node_count() > 40;
+    const GroundedSystem sys = assemble_grounded_system(g, kTech);
+    const std::vector<std::vector<double>> got = moments(sys, 3);
+    const std::vector<std::vector<double>> want = dense_moments(sys);
+    ASSERT_EQ(got.size(), 3u) << context;
+    for (std::size_t k = 0; k < 3; ++k)
+      expect_close(got[k], want[k], tol, context + " m" + std::to_string(k + 1));
+    EXPECT_EQ(graph_elmore_delays(g, kTech), got[0]) << context;
+    const MomentAnalysis analysis = moment_analysis(g, kTech);
+    EXPECT_EQ(analysis.m1, got[0]) << context;
+    EXPECT_EQ(analysis.m2, got[1]) << context;
+  }
+  EXPECT_TRUE(above_40);
+
+  expt::NetGenerator gen(47);
+  const graph::RoutingGraph g = graph::mst_routing(gen.random_net(20));
+  const IncrementalElmore engine(g, kTech);
+  for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
+    const graph::GraphEdge& wire = g.edge(e);
+    graph::RoutingGraph wide = g;
+    wide.set_edge_width(e, 2.0);
+    expect_close(engine.candidate_delays_exact(wire.u, wire.v),
+                 dense_moments(assemble_grounded_system(wide, kTech))[0], 1e-12,
+                 "edge " + std::to_string(e));
+  }
+}
+
+/// G and C stamped densely from a list of wires, written out from the
+/// wire model: G sums g_w (e_u - e_v)(e_u - e_v)^T over the wires and
+/// grounds the source through the driver; C takes half of each wire's
+/// capacitance at either end, then the sink loads, then `last`'s halves.
+std::pair<linalg::DenseMatrix, std::vector<double>> dense_stamping(
+    const graph::RoutingGraph& g, std::optional<graph::GraphEdge> last = std::nullopt) {
+  const std::size_t n = g.node_count();
+  linalg::DenseMatrix conductance(n, n);
+  std::vector<double> capacitance(n, 0.0);
+  const auto stamp = [&](const graph::GraphEdge& w) {
+    const double gw = wire_conductance(w.length, w.width, kTech);
+    conductance(w.u, w.u) += gw;
+    conductance(w.v, w.v) += gw;
+    conductance(w.u, w.v) -= gw;
+    conductance(w.v, w.u) -= gw;
+    capacitance[w.u] += kTech.wire_capacitance(w.length, w.width) / 2.0;
+    capacitance[w.v] += kTech.wire_capacitance(w.length, w.width) / 2.0;
+  };
+  for (const graph::GraphEdge& w : g.edges()) stamp(w);
+  conductance(g.source(), g.source()) += 1.0 / kTech.driver_resistance_ohm;
+  for (graph::NodeId u = 0; u < n; ++u)
+    if (g.node(u).kind == graph::NodeKind::kSink) capacitance[u] += kTech.sink_capacitance_f;
+  if (last) stamp(*last);
+  return {std::move(conductance), std::move(capacitance)};
+}
+
+// The one builder's CSR G against the dense stamping above, entry by entry
+// to 1e-12 relative (CSR assembly may sum a node's stamps in another
+// order), and its C bit for bit (the same sums in the same order): on a
+// non-tree, with an extra wire on an absent pair, and with one doubling an
+// already-wired pair.
 TEST(SparseMoments, CsrAssemblyMatchesDenseAssembly) {
   expt::NetGenerator gen(33);
-  const graph::RoutingGraph g = graph::mst_routing(gen.random_net(30));
-  const spice::Technology tech = spice::kTable1Technology;
-  const linalg::CsrMatrix csr = grounded_conductance_csr(g, tech);
-  const GroundedSystem sys = assemble_grounded_system(g, tech);
-  for (std::size_t r = 0; r < g.node_count(); ++r)
-    for (std::size_t c = 0; c < g.node_count(); ++c)
-      EXPECT_NEAR(csr.at(r, c), sys.conductance(r, c),
-                  std::abs(sys.conductance(r, c)) * 1e-12 + 1e-18);
+  const graph::RoutingGraph g = with_chords(graph::mst_routing(gen.random_net(30)), 3, 33);
+  graph::NodeId absent_v = 1;
+  while (g.has_edge(0, absent_v)) ++absent_v;
+  const graph::GraphEdge& wired = g.edge(0);
+  const auto unit_wire = [&](graph::NodeId u, graph::NodeId v) {
+    return graph::GraphEdge{u, v, geom::manhattan_distance(g.node(u).pos, g.node(v).pos), 1.0};
+  };
+  const std::vector<std::tuple<std::string, std::optional<ExtraWire>,
+                               std::optional<graph::GraphEdge>>>
+      cases{{"no extra wire", std::nullopt, std::nullopt},
+            {"absent pair", ExtraWire{0, absent_v}, unit_wire(0, absent_v)},
+            {"wired pair", ExtraWire{wired.u, wired.v}, unit_wire(wired.u, wired.v)}};
+  for (const auto& [context, extra, last] : cases) {
+    const GroundedSystem sys = assemble_grounded_system(g, kTech, extra);
+    const auto [conductance, capacitance] = dense_stamping(g, last);
+    for (std::size_t r = 0; r < g.node_count(); ++r)
+      for (std::size_t c = 0; c < g.node_count(); ++c)
+        EXPECT_NEAR(sys.conductance.at(r, c), conductance(r, c),
+                    std::abs(conductance(r, c)) * 1e-12 + 1e-18)
+            << context << " (" << r << ", " << c << ")";
+    EXPECT_EQ(sys.capacitance, capacitance) << context;
+  }
+
+  const GroundedSystem base = assemble_grounded_system(g, kTech);
+  const GroundedSystem doubled =
+      assemble_grounded_system(g, kTech, ExtraWire{wired.u, wired.v});
+  EXPECT_EQ(doubled.conductance.at(wired.u, wired.v),
+            2.0 * base.conductance.at(wired.u, wired.v));
+  EXPECT_THROW((void)assemble_grounded_system(g, kTech, ExtraWire{3, 3}),
+               std::invalid_argument);
+  EXPECT_THROW((void)assemble_grounded_system(g, kTech, ExtraWire{0, g.node_count()}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -79,16 +79,17 @@ class ModalResponse {
  public:
   ModalResponse(const graph::RoutingGraph& g, const spice::Technology& tech) {
     const delay::GroundedSystem sys = delay::assemble_grounded_system(g, tech);
+    const linalg::DenseMatrix conductance = sys.conductance.to_dense();
     const std::size_t n = sys.capacitance.size();
     linalg::Vector b(n, 0.0);
     b[g.source()] = tech.vdd_v / tech.driver_resistance_ohm;
-    v_inf_ = linalg::CholeskyFactorization(sys.conductance).solve(b);
+    v_inf_ = linalg::CholeskyFactorization(conductance).solve(b);
 
     linalg::DenseMatrix s(n, n);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_GT(sys.capacitance[i], 0.0) << "node " << i;
       for (std::size_t j = 0; j < n; ++j)
-        s(i, j) = sys.conductance(i, j) /
+        s(i, j) = conductance(i, j) /
                   std::sqrt(sys.capacitance[i] * sys.capacitance[j]);
     }
     linalg::DenseMatrix q;

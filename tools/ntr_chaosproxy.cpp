@@ -16,7 +16,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -108,19 +110,6 @@ Options parse_args(const std::vector<std::string>& args) {
   return opts;
 }
 
-bool read_port_file(const std::string& path, std::uint16_t& port) {
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    std::ifstream in(path);
-    unsigned value = 0;
-    if (in >> value && value > 0 && value <= 65535) {
-      port = static_cast<std::uint16_t>(value);
-      return true;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -138,11 +127,14 @@ int main(int argc, char** argv) {
   }
 
   if (!opts.upstream_port_file.empty() && !opts.upstream_port_set) {
-    if (!read_port_file(opts.upstream_port_file, opts.proxy.upstream_port)) {
+    const std::optional<std::uint16_t> port =
+        ntr::io::read_port_file(opts.upstream_port_file);
+    if (!port) {
       std::fprintf(stderr, "ntr_chaosproxy: no port in %s after 10s\n",
                    opts.upstream_port_file.c_str());
       return ntr::io::kExitInput;
     }
+    opts.proxy.upstream_port = *port;
   }
 
   ntr::serve::ChaosProxy proxy(opts.proxy);

@@ -10,7 +10,6 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -96,15 +95,7 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--report-json") {
       o.report_json_path = next();
     } else if (arg == "--sizes") {
-      o.sizes.clear();
-      std::stringstream ss(next());
-      std::string item;
-      while (std::getline(ss, item, ',')) {
-        o.sizes.push_back(io::parse_uint(arg, item));
-        if (o.sizes.back() < 2)
-          throw std::invalid_argument("--sizes expects nets of at least 2 pins");
-      }
-      if (o.sizes.empty()) throw std::invalid_argument("--sizes expects a list");
+      o.sizes = io::parse_sizes(arg, next());
     } else {
       throw std::invalid_argument("unknown argument '" + arg + "'");
     }

@@ -8,12 +8,11 @@
 // every rung-0 routing locally to prove the service bit-identical to the
 // library (--verify), and can drain the server afterwards (--shutdown).
 
-#include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "io/cli.h"
@@ -33,7 +32,7 @@ target:
   --port-file PATH   read the port from PATH (waits up to 10s for it)
 
 workload:
-  --clients N        concurrent client connections (default 4)
+  --clients N        concurrent client connections (at most 256, default 4)
   --requests N       requests per client (default 8)
   --nets N           nets per request (default 1)
   --pins N           pins per generated net (default 12)
@@ -97,7 +96,7 @@ Options parse_args(const std::vector<std::string>& args) {
     } else if (arg == "--port-file") {
       opts.port_file = next(i, arg);
     } else if (arg == "--clients") {
-      opts.load.clients = ntr::io::parse_uint(arg, next(i, arg));
+      opts.load.clients = ntr::io::parse_lanes(arg, next(i, arg));
     } else if (arg == "--requests") {
       opts.load.requests_per_client = ntr::io::parse_uint(arg, next(i, arg));
     } else if (arg == "--nets") {
@@ -157,22 +156,6 @@ Options parse_args(const std::vector<std::string>& args) {
   return opts;
 }
 
-/// Polls `path` (up to ~10s) until it holds a port number -- ntr_serve
-/// writes it only after its listener is live, so a successful read means
-/// the server is accepting.
-bool read_port_file(const std::string& path, std::uint16_t& port) {
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    std::ifstream in(path);
-    unsigned value = 0;
-    if (in >> value && value > 0 && value <= 65535) {
-      port = static_cast<std::uint16_t>(value);
-      return true;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -190,11 +173,13 @@ int main(int argc, char** argv) {
   }
 
   if (!opts.port_file.empty() && !opts.port_set) {
-    if (!read_port_file(opts.port_file, opts.load.port)) {
+    const std::optional<std::uint16_t> port = ntr::io::read_port_file(opts.port_file);
+    if (!port) {
       std::fprintf(stderr, "ntr_loadgen: no port in %s after 10s\n",
                    opts.port_file.c_str());
       return ntr::io::kExitInput;
     }
+    opts.load.port = *port;
   }
 
   const ntr::serve::LoadgenReport report = ntr::serve::run_loadgen(opts.load);

@@ -39,7 +39,7 @@ options:
   --host ADDR             bind address (default 127.0.0.1)
   --port N                TCP port; 0 picks an ephemeral port (default 0)
   --port-file PATH        write the bound port to PATH (for scripts/CI)
-  --threads N             worker lanes routing requests (default 2)
+  --threads N             worker lanes routing requests (1-256, default 2)
   --queue-depth N         bounded request-queue capacity (default 256)
   --max-inflight N        per-client in-flight cap before the server stops
                           reading that client's socket (default 32)
@@ -86,7 +86,7 @@ Options parse_args(const std::vector<std::string>& args) {
     } else if (arg == "--port-file") {
       opts.port_file = next(i, arg);
     } else if (arg == "--threads") {
-      opts.server.workers = ntr::io::parse_uint(arg, next(i, arg));
+      opts.server.workers = ntr::io::parse_lanes(arg, next(i, arg));
       if (opts.server.workers == 0)
         throw std::invalid_argument("--threads must be >= 1");
     } else if (arg == "--queue-depth") {
