@@ -1,16 +1,17 @@
 // A6: google-benchmark microbenchmarks of the computational kernels every
 // router leans on: MST construction, tree Elmore, graph-moment solve,
 // transient delay measurement, Iterated 1-Steiner, the incremental Elmore
-// engine and its candidate scorer, ERT construction, and one LDRG
-// candidate scan. Complexity claims from the paper (H2/H3 are linear
-// given the MST; LDRG is quadratically many simulations) are visible in
-// the scaling.
+// engine, its rank-1 update and its candidate scorer, ERT construction,
+// and one LDRG candidate scan. Complexity claims from the paper (H2/H3
+// are linear given the MST; LDRG is quadratically many simulations) are
+// visible in the scaling.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -132,6 +133,37 @@ void BM_IncrementalBuild(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(delay::IncrementalElmore(g, kTech));
 }
 BENCHMARK(BM_IncrementalBuild)->Arg(30)->Arg(100)->Arg(200)->Arg(400);
+
+// What LDRG pays instead of that build after each accepted wire: the
+// rank-1 update of R and m1. Each iteration adds the next of eight absent
+// wires of the MST; after all eight, the untimed set-up starts over from
+// the MST and a fresh engine.
+void BM_IncrementalAddWire(benchmark::State& state) {
+  const graph::RoutingGraph mst =
+      graph::mst_routing(make_net(static_cast<std::size_t>(state.range(0))));
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> absent;
+  for (graph::NodeId u = 0; u < mst.node_count(); ++u)
+    for (graph::NodeId v = u + 1; v < mst.node_count(); ++v)
+      if (!mst.has_edge(u, v)) absent.emplace_back(u, v);
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> wires;
+  for (std::size_t k = 0; k < 8; ++k) wires.push_back(absent[k * absent.size() / 8]);
+  graph::RoutingGraph g = mst;
+  std::optional<delay::IncrementalElmore> engine(std::in_place, g, kTech);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == wires.size()) {
+      state.PauseTiming();
+      g = mst;
+      engine.emplace(g, kTech);
+      next = 0;
+      state.ResumeTiming();
+    }
+    const auto [u, v] = wires[next++];
+    g.add_edge(u, v);
+    benchmark::DoNotOptimize(engine->add_wire(u, v));
+  }
+}
+BENCHMARK(BM_IncrementalAddWire)->Arg(100)->Arg(200)->Arg(400);
 
 // What one LDRG ranking scan pays per candidate: the graph-Elmore
 // scorer's per-sink delays, cycling through every absent pair.

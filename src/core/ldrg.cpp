@@ -117,11 +117,13 @@ struct Pick {
 /// t(G)?") over `g`, whose cost is `cost` and objective `current`: the
 /// best move within `cost_budget` whose exact objective improves on
 /// `current` by options.min_relative_improvement, or nullopt when there
-/// is none.
+/// is none. `scorer` answers for `g` when set; when it is not and the
+/// round ranks, the round builds it from ranking.source.
 std::optional<Pick> ldrg_round(const graph::RoutingGraph& g, double cost,
                                double cost_budget, double current,
                                const delay::DelayEvaluator& evaluator,
                                const MoveSet& moves, const Ranking& ranking,
+                               std::unique_ptr<delay::CandidateScorer>& scorer,
                                const LdrgOptions& options, ThreadPool* pool,
                                std::size_t lanes) {
   const double accept_below = current * (1.0 - options.min_relative_improvement);
@@ -181,14 +183,13 @@ std::optional<Pick> ldrg_round(const graph::RoutingGraph& g, double cost,
   };
 
   // 2. Rank with a delta engine (Sherman-Morrison Elmore scores a
-  // candidate wire in O(sinks) off a factorization of `g`, rebuilt every
-  // round because the accepted edge invalidates it). Each lane keeps its
-  // best `keep` by (score, index), sorted, and bounds every query by the
-  // score a candidate must beat to join them: the lane's K-th, or the
-  // cutoff until it has K. The global best `keep` lie in the union of the
+  // candidate wire in O(sinks) off the transfer resistances of `g`, which
+  // the loop carries from round to round). Each lane keeps its best `keep`
+  // by (score, index), sorted, and bounds every query by the score a
+  // candidate must beat to join them: the lane's K-th, or the cutoff
+  // until it has K. The global best `keep` lie in the union of the
   // lanes', so the shortlist is the same for every lane count.
-  const std::unique_ptr<delay::CandidateScorer> scorer =
-      ranking.source ? ranking.source->make_candidate_scorer(g) : nullptr;
+  if (!scorer && ranking.source) scorer = ranking.source->make_candidate_scorer(g);
   if (scorer) {
     const double cutoff = ranking.scores_objective
                               ? accept_below
@@ -321,6 +322,9 @@ GreedyRun run_ldrg(const char* who, const graph::RoutingGraph& initial,
   std::unique_ptr<ThreadPool> pool;
   if (lanes > 1) pool = std::make_unique<ThreadPool>(lanes);
 
+  // The ranking scorer, kept across rounds: built in the first round that
+  // ranks, moved by rank 1 after each accepted wire.
+  std::unique_ptr<delay::CandidateScorer> scorer;
   const bool stop_engaged = options.stop.engaged();
   while (run.steps.size() < options.max_added_edges) {
     // Round boundary: the natural resumption point -- run.graph holds a
@@ -332,12 +336,16 @@ GreedyRun run_ldrg(const char* who, const graph::RoutingGraph& initial,
     const double current = run.final_objective;
     const std::optional<Pick> pick =
         ldrg_round(run.graph, run.final_cost, cost_budget, current, evaluator,
-                   moves, ranking, options, pool.get(), lanes);
+                   moves, ranking, scorer, options, pool.get(), lanes);
     if (!pick) break;
 
     GreedyStep step{pick->move, 0.0, 0.0, current, pick->objective, 0.0};
     if (pick->move.widens()) step.old_width = run.graph.edge(pick->move.u).width;
     step.new_width = apply(run.graph, pick->move, moves.widths);
+    // A widening, or a wire the scorer cannot follow, leaves the next
+    // round to build a new one.
+    if (scorer && (pick->move.widens() || !scorer->add_wire(pick->move.u, pick->move.v)))
+      scorer.reset();
     run.final_objective = pick->objective;
     run.final_cost = cost_of(run.graph);
     step.cost_after = run.final_cost;

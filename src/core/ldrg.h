@@ -107,9 +107,10 @@ struct ScreenedLdrgOptions {
 /// evaluator's own, with the top verify_top_k candidates verified by
 /// `evaluator`. Plain ldrg() with the transient evaluator runs a quadratic
 /// number of simulations per round, the cost the paper flags as
-/// impractical for SPICE-in-the-loop routing; here a round costs one
-/// factorization plus verify_top_k simulations, and the accurate oracle
-/// still gates every accepted edge. Throws std::invalid_argument as
+/// impractical for SPICE-in-the-loop routing; here a round costs one scan
+/// of the screen plus verify_top_k simulations (the screen is factored
+/// once per solve and follows each accepted edge by a rank-1 update), and
+/// the accurate oracle still gates every accepted edge. Throws std::invalid_argument as
 /// ldrg() does, and when verify_top_k is 0.
 LdrgResult ldrg_screened(const graph::RoutingGraph& initial,
                          const delay::DelayEvaluator& evaluator,

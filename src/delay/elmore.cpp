@@ -96,6 +96,18 @@ TreeLeafElmore::TreeLeafElmore(const graph::RoutingGraph& tree,
   for (graph::NodeId u = 0; u < n; ++u)
     if (rooted_.parent[u] != graph::kInvalidNode)
       step_[u] = edge_res_[u] * (edge_cap_[u] / 2.0 + subtree_cap_[u]);
+
+  // elmore_node_delays' top-down pass, and the path resistances beside it.
+  delay_.assign(n, 0.0);
+  path_res_.assign(n, 0.0);
+  if (n > 0)
+    delay_[rooted_.root] = tech.driver_resistance_ohm * subtree_cap_[rooted_.root];
+  for (std::size_t i = 1; i < n; ++i) {
+    const graph::NodeId u = rooted_.preorder[i];
+    const graph::NodeId p = rooted_.parent[u];
+    delay_[u] = delay_[p] + step_[u];
+    path_res_[u] = path_res_[p] + edge_res_[u];
+  }
 }
 
 void TreeLeafElmore::delays_with_leaf(graph::NodeId attach, const geom::Point& pos,

@@ -52,10 +52,20 @@ class TreeLeafElmore {
   void delays_with_leaf(graph::NodeId attach, const geom::Point& pos,
                         graph::NodeKind kind, std::span<double> out) const;
 
+  /// The tree's own per-node delays, bit for bit elmore_node_delays(tree).
+  [[nodiscard]] std::span<const double> node_delays() const { return delay_; }
+  /// Per node, the wire resistance of its path from the source (the
+  /// driver's resistance not included).
+  [[nodiscard]] std::span<const double> path_resistance() const { return path_res_; }
+  /// Per node, its neighbour toward the source; kInvalidNode for the source.
+  [[nodiscard]] graph::NodeId parent(graph::NodeId u) const { return rooted_.parent[u]; }
+
  private:
   const graph::RoutingGraph* tree_;
   spice::Technology tech_;
   graph::RootedTree rooted_;
+  std::vector<double> delay_;            ///< node_delays()
+  std::vector<double> path_res_;         ///< path_resistance()
   // Per node i, about the edge to its parent and the parent's running
   // subtree-capacitance sum, in elmore_node_delays' order of accumulation.
   std::vector<double> subtree_cap_;      ///< C_i

@@ -44,6 +44,10 @@ class IncrementalElmoreScorer final : public CandidateScorer {
     return engine_.candidate_objective(u, v, scale_, criticality, bound);
   }
 
+  bool add_wire(graph::NodeId u, graph::NodeId v) override {
+    return engine_.add_wire(u, v);
+  }
+
  private:
   IncrementalElmore engine_;
   double scale_;

@@ -21,12 +21,12 @@ namespace ntr::delay {
 [[nodiscard]] double sink_objective(std::span<const double> sink_delays,
                                     std::span<const double> criticality);
 
-/// Fast what-if oracle for one routing revision: per-sink delays of the
-/// attached graph plus one candidate edge (u,v), without materializing the
-/// trial graph. Obtained from DelayEvaluator::make_candidate_scorer; valid
-/// until the attached graph mutates. Implementations must be safe for
-/// concurrent const calls -- LDRG's parallel scan queries one scorer from
-/// every worker lane.
+/// Fast what-if oracle for a routing: per-sink delays of the attached
+/// graph plus one candidate edge (u,v), without materializing the trial
+/// graph. Obtained from DelayEvaluator::make_candidate_scorer; valid until
+/// the attached graph mutates, except by an added wire that add_wire
+/// accepts. Implementations must be safe for concurrent const calls --
+/// LDRG's parallel scan queries one scorer from every worker lane.
 class CandidateScorer {
  public:
   virtual ~CandidateScorer() = default;
@@ -49,6 +49,18 @@ class CandidateScorer {
   [[nodiscard]] virtual double candidate_objective(graph::NodeId u, graph::NodeId v,
                                                    std::span<const double> criticality,
                                                    double bound) const;
+
+  /// Called after the caller added the absent wire (u,v) to the attached
+  /// graph: true when the scorer now answers for the new graph, false
+  /// when the caller must build a new scorer instead. Not const and not
+  /// concurrent: LDRG calls it between rounds, on one thread. The default
+  /// returns false, so a wrapper that does not forward it is rebuilt
+  /// every round.
+  virtual bool add_wire(graph::NodeId u, graph::NodeId v) {
+    (void)u;
+    (void)v;
+    return false;
+  }
 };
 
 /// Pluggable source-to-sink delay oracle over routing graphs. Every router

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "check/contracts.h"
 #include "delay/evaluator.h"
 #include "delay/moments.h"
 #include "geom/point.h"
@@ -30,6 +31,7 @@ IncrementalElmore::IncrementalElmore(const graph::RoutingGraph& g,
     if (g.node(i).kind != graph::NodeKind::kSink) slot_[i] = next++;
   m1_by_slot_.resize(n);
   for (graph::NodeId i = 0; i < n; ++i) m1_by_slot_[slot_[i]] = m1_[i];
+  y_.resize(n);
 
   // Explicit transfer resistances: the unit columns of G^{-1} on the
   // factor, a block per pass, in its elimination order, where entry i of
@@ -62,6 +64,7 @@ bool IncrementalElmore::update_for(graph::NodeId u, graph::NodeId v,
   const double c_half = tech_.wire_capacitance(length, 1.0) / 2.0;
   up.a = transfer_.data() + u * n;
   up.b = transfer_.data() + v * n;
+  up.g_e = g_e;
 
   // y = R (e_u - e_v) = a - b. The Sherman-Morrison denominator
   // 1 + g_e * w^T R w is >= 1 for an SPD system, but a degenerate short
@@ -69,8 +72,8 @@ bool IncrementalElmore::update_for(graph::NodeId u, graph::NodeId v,
   // queries take the exact path.
   const double y_u = up.a[slot_[u]] - up.b[slot_[u]];
   const double y_v = up.a[slot_[v]] - up.b[slot_[v]];
-  const double spread = g_e * (y_u - y_v);
-  if (!std::isfinite(spread) || spread > kDeltaConditionLimit) {
+  up.spread = g_e * (y_u - y_v);
+  if (!std::isfinite(up.spread) || up.spread > kDeltaConditionLimit) {
     exact_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -81,9 +84,32 @@ bool IncrementalElmore::update_for(graph::NodeId u, graph::NodeId v,
   //   m1' = m1 + (c_half - s) a + (c_half + s) b,
   //   s = g_e (y . c') / (1 + spread).
   const double y_dot_cprime = (m1_[u] - m1_[v]) + c_half * (y_u + y_v);
-  const double s = g_e * y_dot_cprime / (1.0 + spread);
+  const double s = g_e * y_dot_cprime / (1.0 + up.spread);
   up.wa = c_half - s;
   up.wb = c_half + s;
+  return true;
+}
+
+bool IncrementalElmore::add_wire(graph::NodeId u, graph::NodeId v) {
+  NTR_DCHECK(g_->has_edge(u, v));
+  Update up;
+  if (!update_for(u, v, up)) return false;
+  const std::size_t n = node_count_;
+  // y and m1' both read the old columns u and v, so they go first; m1'
+  // by the queries' own expression.
+  for (std::size_t k = 0; k < n; ++k) {
+    y_[k] = up.a[k] - up.b[k];
+    m1_by_slot_[k] = m1_by_slot_[k] + up.wa * up.a[k] + up.wb * up.b[k];
+  }
+  for (graph::NodeId i = 0; i < n; ++i) m1_[i] = m1_by_slot_[slot_[i]];
+  // R' = R - f y y^T, f = g_e / (1 + g_e (y_u - y_v)): column j moves by
+  // f y_j times y.
+  const double f = up.g_e / (1.0 + up.spread);
+  for (graph::NodeId j = 0; j < n; ++j) {
+    const double coefficient = f * y_[slot_[j]];
+    double* column = transfer_.data() + j * n;
+    for (std::size_t k = 0; k < n; ++k) column[k] -= coefficient * y_[k];
+  }
   return true;
 }
 

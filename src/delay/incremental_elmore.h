@@ -12,8 +12,9 @@ namespace ntr::delay {
 
 /// Counters describing how an IncrementalElmore cache served its queries.
 /// `exact_fallbacks` are full re-solves forced by an ill-conditioned
-/// update. Every other query is an O(n) Sherman-Morrison answer off the
-/// cached transfer resistances.
+/// update, and add_wire calls declined for the same reason. Every other
+/// query is an O(n) Sherman-Morrison answer off the cached transfer
+/// resistances.
 struct IncrementalElmoreStats {
   std::size_t exact_fallbacks = 0;
 };
@@ -45,11 +46,14 @@ struct IncrementalElmoreStats {
 /// g_e * w^T R w beyond kDeltaConditionLimit), the engine transparently
 /// falls back to an exact solve of the trial graph.
 ///
-/// The cache answers for the graph it was built from, which must outlive
-/// it unchanged; LDRG builds one per round.
+/// The cache answers for the graph it was attached to, which must
+/// outlive it and change only by wires the cache is told of: after the
+/// caller adds the absent wire (u,v), add_wire(u, v) moves R and m1 to the
+/// new graph by the same rank-1 update, in O(n^2). LDRG keeps one per
+/// solve and builds a new one only after an update add_wire declines.
 ///
 /// Thread safety: the queries are const and safe to call from many
-/// threads concurrently (the fallback counter is atomic).
+/// threads concurrently (the fallback counter is atomic); add_wire is not.
 class IncrementalElmore {
  public:
   /// Builds the cache: one envelope factorization and n solves, O(n^2)
@@ -86,6 +90,16 @@ class IncrementalElmore {
   [[nodiscard]] std::vector<double> candidate_delays_exact(graph::NodeId u,
                                                            graph::NodeId v) const;
 
+  /// Moves the cache to the attached graph after the caller has added the
+  /// absent wire (u,v) to it: m1 <- m1 + wa a + wb b, by the coefficients
+  /// of the query for (u,v), so the new base delays are what
+  /// candidate_delays(u, v) answered, and R <- R - f y y^T with
+  /// y = R (e_u - e_v), column by column. O(n^2), allocates nothing.
+  /// Returns false, and changes nothing, when the query for (u,v) would
+  /// take the exact path; the cache is then stale and must be replaced by
+  /// a new one. Not const: call it between scans, on one thread.
+  bool add_wire(graph::NodeId u, graph::NodeId v);
+
   /// Base (no added edge) per-node Elmore delays of the attached graph.
   [[nodiscard]] const std::vector<double>& base_delays() const { return m1_; }
 
@@ -103,12 +117,15 @@ class IncrementalElmore {
  private:
   /// The Sherman-Morrison update for candidate (u,v): with a = R e_u and
   /// b = R e_v (columns in slot order), entry k of the updated moments is
-  /// m1[k] + wa a[k] + wb b[k].
+  /// m1[k] + wa a[k] + wb b[k]. The wire's conductance g_e and
+  /// spread = g_e (y_u - y_v), y = a - b, give add_wire R's coefficient.
   struct Update {
     const double* a = nullptr;
     const double* b = nullptr;
     double wa = 0.0;
     double wb = 0.0;
+    double g_e = 0.0;
+    double spread = 0.0;
   };
 
   /// False (and counts a fallback) when the update is too ill-conditioned.
@@ -124,6 +141,7 @@ class IncrementalElmore {
   std::vector<double> transfer_;       ///< R column by column, rows by slot
   std::vector<double> m1_;             ///< base moments R C, by node
   std::vector<double> m1_by_slot_;     ///< the same, by slot
+  std::vector<double> y_;              ///< add_wire's R (e_u - e_v), by slot
   std::size_t node_count_ = 0;
 
   mutable std::atomic<std::size_t> exact_fallbacks_{0};

@@ -19,7 +19,8 @@ struct ErtOptions {
   /// CSORG-style objective (paper Section 5.1): minimize
   /// sum_i criticality[i] * t(n_i) instead of max_i t(n_i).
   /// Indexed by net sink (pins[1..k] -> criticality[0..k-1]); empty means
-  /// the classical minimize-the-max ERT objective.
+  /// the classical minimize-the-max ERT objective. Each weight must be
+  /// finite and non-negative.
   std::vector<double> criticality;
 };
 
@@ -36,6 +37,8 @@ struct ErtResult {
 /// resulting tree. Near-optimal for Elmore delay (within ~2% on average,
 /// per [4]) -- the strongest tree baseline the paper compares against, and
 /// the starting point of the ERT-seeded LDRG experiment (Table 7).
+/// Throws std::invalid_argument when `criticality` is neither empty nor
+/// one finite, non-negative weight per sink.
 ErtResult elmore_routing_tree(const graph::Net& net, const spice::Technology& tech,
                               const ErtOptions& options = {});
 

@@ -5,9 +5,10 @@
 //     a march that takes ten times the steps makes exactly as many
 //     allocations;
 //   - LDRG's Elmore ranking allocates per round, never per candidate:
-//     bounded scorer queries allocate nothing, and a one-edge LDRG makes
-//     exactly as many allocations whether its budget admits every absent
-//     pair or about a tenth of them.
+//     bounded scorer queries allocate nothing, nor does the scorer's
+//     update after an accepted wire, and a one-edge LDRG makes exactly as
+//     many allocations whether its budget admits every absent pair or
+//     about a tenth of them.
 
 #include <gtest/gtest.h>
 
@@ -110,6 +111,22 @@ TEST(LdrgAllocations, BoundedScorerQueriesAllocateNothing) {
   (void)scorer->candidate_sink_delays(pairs[0].first, pairs[0].second);
   EXPECT_GT(g_allocations.load() - vector_before, 0u)
       << "the counting operator new is not in use";
+}
+
+// Between rounds the scorer follows each accepted wire in place.
+TEST(LdrgAllocations, AddWireAllocatesNothing) {
+  graph::RoutingGraph g = graph::mst_routing(expt::NetGenerator(7).random_net(120));
+  const delay::GraphElmoreEvaluator eval(kTech);
+  const std::unique_ptr<delay::CandidateScorer> scorer = eval.make_candidate_scorer(g);
+  const auto pairs = absent_pairs(g);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto& [u, v] = pairs[(i * 7919) % pairs.size()];
+    g.add_edge(u, v);
+    const std::size_t before = g_allocations.load();
+    const bool followed = scorer->add_wire(u, v);
+    EXPECT_EQ(g_allocations.load() - before, 0u) << "wire " << i;
+    EXPECT_TRUE(followed) << "wire " << i;
+  }
 }
 
 TEST(LdrgAllocations, OneEdgeLdrgAllocatesTheSameForAnyCandidateCount) {

@@ -10,6 +10,7 @@
 #include "delay/moments.h"
 #include "expt/net_generator.h"
 #include "expt/statistics.h"
+#include "graph/paths.h"
 #include "graph/routing_graph.h"
 #include "route/ert.h"
 #include "spice/technology.h"
@@ -207,9 +208,26 @@ TEST(Evaluators, NamesAreDistinct) {
 /// Every attachment node of `tree`, with leaves at random points, at the
 /// attachment itself (a zero-length wire) and of both kinds: the copy-free
 /// answer equals elmore_node_delays of the materialized trial, bit for bit.
+/// The tree's own delays equal elmore_node_delays of the tree, bit for bit,
+/// and each node's parent and source-path wire resistance are the rooted
+/// tree's.
 void expect_leaf_delays_match_trials(const graph::RoutingGraph& tree,
                                      std::mt19937_64& rng, const std::string& context) {
   const TreeLeafElmore leaf_elmore(tree, kTech);
+  const std::vector<double> base = elmore_node_delays(tree, kTech);
+  const graph::RootedTree rooted = graph::root_tree(tree, tree.source());
+  ASSERT_EQ(leaf_elmore.node_delays().size(), base.size()) << context;
+  for (graph::NodeId u = 0; u < tree.node_count(); ++u) {
+    ASSERT_EQ(leaf_elmore.node_delays()[u], base[u]) << context << " node " << u;
+    ASSERT_EQ(leaf_elmore.parent(u), rooted.parent[u]) << context << " node " << u;
+    double resistance = 0.0;
+    for (graph::NodeId x = u; x != rooted.root; x = rooted.parent[x]) {
+      const graph::GraphEdge& e = tree.edge(rooted.parent_edge[x]);
+      resistance += kTech.wire_resistance(e.length, e.width);
+    }
+    ASSERT_NEAR(leaf_elmore.path_resistance()[u], resistance, 1e-12 * resistance)
+        << context << " node " << u;
+  }
   std::uniform_real_distribution<double> coord(0.0, kTech.layout_side_um);
   std::vector<double> got(tree.node_count() + 1);
   for (graph::NodeId u = 0; u < tree.node_count(); ++u) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <string>
 #include <thread>
@@ -308,22 +309,37 @@ TEST(BoundedObjective, SertTreeWithMicronLengthEdges) {
                                     absent_pairs(sert, 600, 9), "SERT elmore-ln2");
 }
 
-// Sinks a and b sit at one point, 4 mm of resistive wire apart: the
-// zero-length short between them is past kDeltaConditionLimit, so the
-// query takes the exact path and still keeps the contract.
-TEST(BoundedObjective, ZeroLengthShortTakesTheExactFallback) {
+/// Sinks a and b sit at one point, 4 mm of resistive wire apart: the
+/// zero-length short between them is past kDeltaConditionLimit.
+struct ShortedSinks {
   spice::Technology tech = kTech;
-  tech.wire_resistance_ohm_per_um = 1e3;
   graph::RoutingGraph g;
+  graph::NodeId a = 0;
+  graph::NodeId b = 0;
+};
+
+ShortedSinks shorted_sinks() {
+  ShortedSinks s;
+  s.tech.wire_resistance_ohm_per_um = 1e3;
+  graph::RoutingGraph& g = s.g;
   const graph::NodeId src = g.add_node({0, 0}, graph::NodeKind::kSource);
-  const graph::NodeId a = g.add_node({1000, 0}, graph::NodeKind::kSink);
+  s.a = g.add_node({1000, 0}, graph::NodeKind::kSink);
   const graph::NodeId c = g.add_node({0, 1000}, graph::NodeKind::kSink);
-  const graph::NodeId b = g.add_node({1000, 0}, graph::NodeKind::kSink);
+  s.b = g.add_node({1000, 0}, graph::NodeKind::kSink);
   const graph::NodeId d = g.add_node({500, 500}, graph::NodeKind::kSink);
-  g.add_edge(src, a);
+  g.add_edge(src, s.a);
   g.add_edge(src, c);
-  g.add_edge(c, b);
-  g.add_edge(a, d);
+  g.add_edge(c, s.b);
+  g.add_edge(s.a, d);
+  return s;
+}
+
+// The short's query takes the exact path and still keeps the contract.
+TEST(BoundedObjective, ZeroLengthShortTakesTheExactFallback) {
+  const ShortedSinks shorted = shorted_sinks();
+  const spice::Technology& tech = shorted.tech;
+  const graph::RoutingGraph& g = shorted.g;
+  const graph::NodeId a = shorted.a, b = shorted.b;
   const IncrementalElmore engine(g, tech);
   (void)engine.candidate_objective(a, b, 1.0, {}, 0.0);
   EXPECT_EQ(engine.stats().exact_fallbacks, 1u);
@@ -331,6 +347,69 @@ TEST(BoundedObjective, ZeroLengthShortTakesTheExactFallback) {
   ASSERT_NE(std::find(pairs.begin(), pairs.end(), std::pair{a, b}), pairs.end());
   expect_bounded_objective_contract(GraphElmoreEvaluator(tech), g, pairs, "short elmore-graph");
   expect_bounded_objective_contract(ScaledElmoreEvaluator(tech), g, pairs, "short elmore-ln2");
+}
+
+// ---- Moving the engine along accepted wires ----
+
+// LDRG keeps one engine per solve and moves it by rank 1 after each
+// accepted wire. Applied one by one, the wires of an unbounded
+// graph-Elmore LDRG (eight on the 400-pin net) leave the engine agreeing
+// with a fresh build of each routing to 1e-12 of its largest delay: the
+// base delays, the per-sink delays and the bounded objectives, ORG and
+// CSORG, of a sample of the absent pairs.
+TEST(IncrementalElmore, AddWireMatchesAFreshBuild) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const GraphElmoreEvaluator eval(kTech);
+  std::size_t most_wires = 0;
+  for (const std::size_t pins : {20u, 60u, 150u, 400u}) {
+    expt::NetGenerator gen(701 + pins);
+    graph::RoutingGraph g = graph::mst_routing(gen.random_net(pins));
+    const core::LdrgResult grown = core::ldrg(g, eval);
+    most_wires = std::max(most_wires, grown.steps.size());
+    IncrementalElmore engine(g, kTech);
+    const std::vector<double> weights = weights_with_zeros(g, pins);
+    for (std::size_t i = 0; i < grown.steps.size(); ++i) {
+      const graph::NodeId u = grown.steps[i].u, v = grown.steps[i].v;
+      g.add_edge(u, v);
+      ASSERT_TRUE(engine.add_wire(u, v));
+      const IncrementalElmore fresh(g, kTech);
+      const std::string context =
+          std::to_string(pins) + " pins, wire " + std::to_string(i + 1);
+      const double scale = max_abs(fresh.base_delays());
+      expect_delays_close(engine.base_delays(), fresh.base_delays(), scale,
+                          context + " base");
+      std::vector<double> got(engine.sink_count());
+      std::vector<double> want(fresh.sink_count());
+      for (const auto& [x, y] : absent_pairs(g, 200, pins + i)) {
+        const std::string where = context + " pair (" + std::to_string(x) + "," +
+                                  std::to_string(y) + ")";
+        engine.candidate_sink_delays(x, y, 1.0, got);
+        fresh.candidate_sink_delays(x, y, 1.0, want);
+        for (std::size_t k = 0; k < got.size(); ++k)
+          ASSERT_NEAR(got[k], want[k], kTol * scale) << where << " sink " << k;
+        for (const std::vector<double>& criticality : {std::vector<double>{}, weights}) {
+          const double weight =
+              criticality.empty() ? 1.0
+                                  : std::accumulate(weights.begin(), weights.end(), 0.0);
+          // Unbounded, and bounded at 90% of the objective, where the
+          // query stops early: min(answer, bound) is what the contract fixes.
+          for (const double b : {kInf, 0.9 * sink_objective(want, criticality)}) {
+            const double got_b = engine.candidate_objective(x, y, 1.0, criticality, b);
+            const double want_b = fresh.candidate_objective(x, y, 1.0, criticality, b);
+            ASSERT_NEAR(std::min(got_b, b), std::min(want_b, b), kTol * scale * weight)
+                << where << (criticality.empty() ? " ORG" : " CSORG") << " bound " << b;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(most_wires, 8u);
+
+  // The short's update is the one the queries send to the exact path.
+  ShortedSinks shorted = shorted_sinks();
+  IncrementalElmore engine(shorted.g, shorted.tech);
+  shorted.g.add_edge(shorted.a, shorted.b);
+  EXPECT_FALSE(engine.add_wire(shorted.a, shorted.b));
 }
 
 // LDRG's lanes share one scorer: four threads querying it at once must

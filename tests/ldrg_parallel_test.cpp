@@ -10,6 +10,7 @@
 #include <limits>
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -103,6 +104,58 @@ class VectorOnlyEvaluator final : public delay::DelayEvaluator {
 
  private:
   const delay::DelayEvaluator& inner_;
+};
+
+/// Forwards every call of its scorer, add_wire too when `forward_add_wire`.
+class ForwardingScorer final : public delay::CandidateScorer {
+ public:
+  ForwardingScorer(std::unique_ptr<delay::CandidateScorer> inner, bool forward_add_wire)
+      : inner_(std::move(inner)), forward_add_wire_(forward_add_wire) {}
+  [[nodiscard]] std::vector<double> candidate_sink_delays(
+      graph::NodeId u, graph::NodeId v) const override {
+    return inner_->candidate_sink_delays(u, v);
+  }
+  [[nodiscard]] double candidate_objective(graph::NodeId u, graph::NodeId v,
+                                           std::span<const double> criticality,
+                                           double bound) const override {
+    return inner_->candidate_objective(u, v, criticality, bound);
+  }
+  bool add_wire(graph::NodeId u, graph::NodeId v) override {
+    return forward_add_wire_ && inner_->add_wire(u, v);
+  }
+
+ private:
+  std::unique_ptr<delay::CandidateScorer> inner_;
+  bool forward_add_wire_;
+};
+
+/// Forwards everything, with the inner evaluator's scorer behind a
+/// ForwardingScorer, and counts the scorers it builds.
+class CountingEvaluator final : public delay::DelayEvaluator {
+ public:
+  CountingEvaluator(const delay::DelayEvaluator& inner, bool forward_add_wire)
+      : inner_(inner), forward_add_wire_(forward_add_wire) {}
+  [[nodiscard]] std::vector<double> sink_delays(
+      const graph::RoutingGraph& g) const override {
+    return inner_.sink_delays(g);
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] std::unique_ptr<delay::CandidateScorer> make_candidate_scorer(
+      const graph::RoutingGraph& g) const override {
+    ++builds_;
+    return std::make_unique<ForwardingScorer>(inner_.make_candidate_scorer(g),
+                                              forward_add_wire_);
+  }
+  [[nodiscard]] double bounded_max_delay(const graph::RoutingGraph& g,
+                                         double give_up_s) const override {
+    return inner_.bounded_max_delay(g, give_up_s);
+  }
+  [[nodiscard]] std::size_t builds() const { return builds_; }
+
+ private:
+  const delay::DelayEvaluator& inner_;
+  bool forward_add_wire_;
+  mutable std::size_t builds_ = 0;
 };
 
 /// Criticality weights for g's sinks, every fourth one zero.
@@ -310,6 +363,24 @@ TEST(LdrgParallel, BoundedRankingRoutesLikeTheVectorOnlyScorer) {
       }
     }
   }
+}
+
+// One scorer serves a whole solve: built in the first round, then moved by
+// add_wire after each accepted wire. A wrapper that does not forward
+// add_wire is rebuilt every round and routes the same.
+TEST(LdrgParallel, ScorerIsBuiltOncePerSolve) {
+  const delay::GraphElmoreEvaluator graph_elmore(kTech);
+  expt::NetGenerator gen(150);
+  const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(150));
+  core::LdrgOptions opts;
+  opts.max_added_edges = 3;
+  const CountingEvaluator once(graph_elmore, /*forward_add_wire=*/true);
+  const core::LdrgResult got = core::ldrg(mst, once, opts);
+  ASSERT_EQ(got.steps.size(), 3u);
+  EXPECT_EQ(once.builds(), 1u);
+  const CountingEvaluator every_round(graph_elmore, /*forward_add_wire=*/false);
+  expect_identical(got, core::ldrg(mst, every_round, opts), "rebuilt every round");
+  EXPECT_EQ(every_round.builds(), 3u);
 }
 
 // ldrg_screened's lane-local top K against the full score array of the

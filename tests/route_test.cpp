@@ -160,6 +160,33 @@ TEST(Ert, CriticalitySizeValidated) {
   EXPECT_THROW(elmore_routing_tree(net, kTech, opts), std::invalid_argument);
 }
 
+// A negative or NaN weight is refused before any work, as ldrg refuses
+// it: the construction prunes its trials by a bound that holds only for
+// non-negative weights. An infinite weight ties every trial at infinity.
+TEST(Ert, RejectsNegativeOrNanCriticality) {
+  expt::NetGenerator gen(29);
+  const graph::Net net = gen.random_net(6);
+  for (const double bad : {-1.0, -1e-300, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    for (const bool steiner : {false, true}) {
+      ErtOptions opts;
+      opts.steiner = steiner;
+      opts.criticality.assign(net.sink_count(), 1.0);
+      opts.criticality[2] = bad;
+      std::string error = "nothing";
+      try {
+        (void)elmore_routing_tree(net, kTech, opts);
+      } catch (const std::invalid_argument& e) {
+        error = e.what();
+      } catch (const std::exception& e) {
+        error = std::string("another exception: ") + e.what();
+      }
+      EXPECT_EQ(error.rfind("elmore_routing_tree:", 0), 0u)
+          << "weight " << bad << (steiner ? ", SERT" : "") << " threw " << error;
+    }
+  }
+}
+
 TEST(Ert, SertIntroducesSteinerNodesWhenProfitable) {
   // A long run with a sink just off its middle: splicing into the wire at
   // (5000, 0) costs 100um of new wire versus 5100um for any pin-to-pin
@@ -180,7 +207,9 @@ TEST(Ert, SertIntroducesSteinerNodesWhenProfitable) {
 // The construction as first written: each candidate attachment copies the
 // tree, applies the attachment and times the copy with
 // elmore_node_delays. elmore_routing_tree answers node attachments
-// without the copy (delay::TreeLeafElmore) and must build the same trees.
+// without the copy (delay::TreeLeafElmore) and skips every trial whose
+// lower bound shows it cannot win, and must build the same trees. At 80
+// pins it skips almost every trial.
 
 geom::Point reference_bbox_point(const geom::Point& a, const geom::Point& b,
                                  const geom::Point& p) {
@@ -271,7 +300,7 @@ ErtResult reference_ert(const graph::Net& net, const ErtOptions& options) {
 TEST(Ert, BuildsTheMaterializedReferenceTreesExactly) {
   std::mt19937_64 rng(7);
   std::uniform_real_distribution<double> weight(0.0, 4.0);
-  for (const std::size_t pins : {3u, 4u, 6u, 9u, 14u, 20u, 30u, 60u}) {
+  for (const std::size_t pins : {3u, 4u, 6u, 9u, 14u, 20u, 30u, 60u, 80u}) {
     expt::NetGenerator gen(4000 + pins);
     const graph::Net net = gen.random_net(pins);
     std::vector<double> criticality(net.sink_count());
