@@ -21,16 +21,16 @@ namespace ntr::core {
 
 namespace {
 
-/// In-lane stop-poll strides: every so many candidates each lane
-/// re-checks the shared stop flag and the token. An engaged poll reads the
-/// clock, 46 ns on a Xeon VM with a TSC clock source, about the cost of
-/// one bounded Elmore score (30-40 ns). Polling the ranking scan every 16
-/// scores cost an engaged 100-200-pin graph-Elmore LDRG a median 7% of
-/// its run there (six alternating runs each), every 64 about 2%, and 64
-/// scores still bound its cancellation latency to a few microseconds.
-/// Verification evaluates exactly, 10 us and up per candidate, where a
-/// poll is noise and 16 bounds the latency to a few evaluations.
-constexpr std::size_t kRankStopStride = 64;
+/// In-lane stop-poll strides. The ranking scan re-checks the shared stop
+/// flag and the token once per row of the pair enumeration, before the
+/// row's query: a row holds at most n - 1 candidates, about 2 us on
+/// average and 5 us at most at 200 pins (BM_RankRound, 19-27 ns a
+/// candidate on a 4-core Xeon VM). An engaged poll reads the clock, 46 ns
+/// there with a TSC clock source, so a poll per row is noise next to the
+/// row, and one row bounds the cancellation latency. Verification
+/// evaluates exactly, 10 us and up per candidate, where a poll is noise
+/// and 16 bounds the latency to a few evaluations.
+constexpr std::size_t kRankStopStride = 1;  // rows
 constexpr std::size_t kVerifyStopStride = 16;
 
 constexpr std::size_t kNoCandidate = std::numeric_limits<std::size_t>::max();
@@ -127,49 +127,50 @@ std::optional<Pick> ldrg_round(const graph::RoutingGraph& g, double cost,
                                const LdrgOptions& options, ThreadPool* pool,
                                std::size_t lanes) {
   const double accept_below = current * (1.0 - options.min_relative_improvement);
+  const std::size_t n = g.node_count();
+  const std::span<const graph::GraphNode> nodes = g.nodes();
+  // Only LDRG and screened LDRG rank, and they only add wires.
+  NTR_DCHECK(!ranking.source || (moves.add_wires && !moves.widths && !moves.gain_per_area));
 
-  // 1. Enumerate the moves within the cost budget: every absent pair (pins
-  // and Steiner points alike), then every wire below the widest width.
-  // The enumeration order defines the tie-break index.
+  // 1. The moves within the cost budget, row by row: row u holds the
+  // absent wires (u, v), v > u, between pins and Steiner points alike, and
+  // the widenings come after the last row. This order, (u, v)
+  // lexicographic for the wires, defines the tie-break. Each lane walks
+  // its rows with an n-entry stamp array (row u stamps u's neighbours, so
+  // a pair's absence is one load) and an n-entry row buffer.
   NTR_FAULT_POINT(kLdrgAllocation);
-  std::vector<Move> candidates;
-  candidates.reserve(g.node_count() * (g.node_count() - 1) / 2 + g.edge_count());
-  const auto consider = [&](const Move& move, double added) {
-    if (cost + added > cost_budget) return;
-    if (moves.gain_per_area && added <= 0.0) return;  // no gain per area
-    candidates.push_back(move);
+  std::vector<graph::NodeId> row_ids(2 * n * lanes, graph::kInvalidNode);
+  const auto within_budget = [&](double added) {
+    if (cost + added > cost_budget) return false;
+    return !(moves.gain_per_area && added <= 0.0);  // no gain per area
   };
-  if (moves.add_wires) {
-    // Row u stamps its neighbours with u, so a pair's absence is one load.
-    const std::span<const graph::GraphNode> nodes = g.nodes();
-    std::vector<graph::NodeId> wired(nodes.size(), graph::kInvalidNode);
-    for (graph::NodeId u = 0; u < nodes.size(); ++u) {
-      for (const graph::EdgeId e : g.incident_edges(u)) wired[g.other_endpoint(e, u)] = u;
-      for (graph::NodeId v = u + 1; v < nodes.size(); ++v)
-        if (wired[v] != u)
-          consider(Move{u, v}, geom::manhattan_distance(nodes[u].pos, nodes[v].pos));
-    }
-  }
-  if (moves.widths) {
-    for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
-      const Move widen{e, graph::kInvalidNode};
-      if (next_width(*moves.widths, g.edge(e).width) != 0.0)
-        consider(widen, added_cost(g, widen, moves.widths));
-    }
-  }
-  if (candidates.empty()) return std::nullopt;
+  // Without a finite budget or the gain-per-area rule every wire is in.
+  const bool filtered =
+      cost_budget < std::numeric_limits<double>::infinity() || moves.gain_per_area;
+  const auto row = [&](std::size_t lane, graph::NodeId u) {
+    graph::NodeId* wired = row_ids.data() + 2 * n * lane;
+    graph::NodeId* partners = wired + n;
+    for (const graph::EdgeId e : g.incident_edges(u)) wired[g.other_endpoint(e, u)] = u;
+    std::size_t k = 0;
+    for (graph::NodeId v = u + 1; v < n; ++v)
+      if (wired[v] != u &&
+          (!filtered || within_budget(geom::manhattan_distance(nodes[u].pos, nodes[v].pos))))
+        partners[k++] = v;
+    return std::span<const graph::NodeId>(partners, k);
+  };
 
-  // Both scans below run over deterministic static chunks. One lane
-  // observing a tripped token raises the shared flag; the other lanes see
-  // it at their next stride check and break too, so the pool joins
-  // promptly and the trip rethrows as a typed error.
+  // Both scans below run over deterministic static ranges: lane l visits
+  // range(l). One lane observing a tripped token raises the shared flag;
+  // the other lanes see it at their next stride check and break too, so
+  // the pool joins promptly and the trip rethrows as a typed error.
   const bool stop_engaged = options.stop.engaged();
-  const auto scan = [&](std::size_t n, std::size_t stride, const char* where,
+  const auto scan = [&](std::size_t stride, const char* where, const auto& range,
                         const auto& visit) {
     std::atomic<bool> stop_hit{false};
-    parallel_chunks(pool, n, [&](std::size_t lane, std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        if (stop_engaged && (i - begin) % stride == 0) {
+    const auto lane_job = [&](std::size_t lane) {
+      const ChunkRange r = range(lane);
+      for (std::size_t i = r.begin; i < r.end; ++i) {
+        if (stop_engaged && (i - r.begin) % stride == 0) {
           if (stop_hit.load(std::memory_order_relaxed) ||
               options.stop.poll() != runtime::StatusCode::kOk) {
             stop_hit.store(true, std::memory_order_relaxed);
@@ -178,38 +179,89 @@ std::optional<Pick> ldrg_round(const graph::RoutingGraph& g, double cost,
         }
         visit(lane, i);
       }
-    });
+    };
+    if (pool) {
+      pool->run(lane_job);
+    } else {
+      lane_job(0);
+    }
     if (stop_hit.load(std::memory_order_relaxed)) options.stop.throw_if_stopped(where);
   };
 
+  // A round with no wire to rank builds no scorer.
+  if (!scorer && ranking.source) {
+    bool any = false;
+    for (graph::NodeId u = 0; u < n && !any; ++u) any = !row(0, u).empty();
+    if (!any) return std::nullopt;
+    scorer = ranking.source->make_candidate_scorer(g);
+  }
+
   // 2. Rank with a delta engine (Sherman-Morrison Elmore scores a
   // candidate wire in O(sinks) off the transfer resistances of `g`, which
-  // the loop carries from round to round). Each lane keeps its best `keep`
-  // by (score, index), sorted, and bounds every query by the score a
-  // candidate must beat to join them: the lane's K-th, or the cutoff
-  // until it has K. The global best `keep` lie in the union of the
-  // lanes', so the shortlist is the same for every lane count.
-  if (!scorer && ranking.source) scorer = ranking.source->make_candidate_scorer(g);
+  // the loop carries from round to round), one row query per row. Each
+  // lane keeps its best `keep` by (score, index), sorted; it bounds a
+  // row's query by the score a candidate had to beat to join them when
+  // the row started (the lane's K-th, or the cutoff until it has K), then
+  // offers the row's scores in v order against the live bound. A score at
+  // or above the row's bound could not join, and one below it is exact,
+  // so the lane keeps what per-candidate queries would. The global best
+  // `keep` lie in the union of the lanes', so the shortlist is the same
+  // for every lane count. A wire's index is u * n + v, which ascends in
+  // enumeration order.
+  std::vector<Move> candidates;
   if (scorer) {
     const double cutoff = ranking.scores_objective
                               ? accept_below
                               : std::numeric_limits<double>::infinity();
-    const std::size_t keep = std::min(ranking.keep, candidates.size());
+    const std::size_t keep = std::min(ranking.keep, n * (n - 1) / 2);
     std::vector<Scored> top(lanes * keep);  // lane l's at [l * keep, (l + 1) * keep)
     std::vector<std::size_t> held(lanes, 0);
-    const auto offer = [&](std::size_t lane, std::size_t i) {
-      Scored* best = top.data() + lane * keep;
-      std::size_t& n = held[lane];
-      const double bound = n == keep ? best[keep - 1].score : cutoff;
-      const double score = scorer->candidate_objective(candidates[i].u, candidates[i].v,
-                                                       options.criticality, bound);
-      if (!(score < bound)) return;
-      // A lane's indices ascend, so a tie ranks after what it ties with.
-      std::size_t j = n < keep ? n++ : keep - 1;
-      for (; j > 0 && score < best[j - 1].score; --j) best[j] = best[j - 1];
-      best[j] = Scored{score, i};
+    std::vector<double> scores(lanes * n);
+    // Lane l takes the rows [first_row[l], first_row[l + 1]): contiguous,
+    // with near-equal candidate counts.
+    std::vector<std::size_t> first_row(lanes + 1, n);
+    first_row[0] = 0;
+    if (lanes > 1) {
+      std::vector<std::size_t> per_row(n);
+      std::size_t total = 0;
+      for (graph::NodeId u = 0; u < n; ++u) {
+        if (filtered) {
+          per_row[u] = row(0, u).size();
+        } else {
+          per_row[u] = n - 1 - u;
+          for (const graph::EdgeId e : g.incident_edges(u))
+            per_row[u] -= g.other_endpoint(e, u) > u;
+        }
+        total += per_row[u];
+      }
+      std::size_t lane = 1, before = 0;
+      for (graph::NodeId u = 0; u < n; ++u) {
+        while (lane < lanes && before * lanes >= lane * total) first_row[lane++] = u;
+        before += per_row[u];
+      }
+    }
+    const auto rows_of = [&](std::size_t lane) {
+      return ChunkRange{first_row[lane], first_row[lane + 1]};
     };
-    scan(candidates.size(), kRankStopStride, "ldrg ranking scan", offer);
+    const auto rank_row = [&](std::size_t lane, std::size_t u) {
+      const std::span<const graph::NodeId> vs = row(lane, u);
+      if (vs.empty()) return;
+      Scored* best = top.data() + lane * keep;
+      std::size_t count = held[lane];
+      const std::span<double> out(scores.data() + lane * n, vs.size());
+      scorer->row_objectives(u, vs, options.criticality,
+                             count == keep ? best[keep - 1].score : cutoff, out);
+      for (std::size_t j = 0; j < vs.size(); ++j) {
+        const double score = out[j];
+        if (!(score < (count == keep ? best[keep - 1].score : cutoff))) continue;
+        // A lane's indices ascend, so a tie ranks after what it ties with.
+        std::size_t i = count < keep ? count++ : keep - 1;
+        for (; i > 0 && score < best[i - 1].score; --i) best[i] = best[i - 1];
+        best[i] = Scored{score, u * n + vs[j]};
+      }
+      held[lane] = count;
+    };
+    scan(kRankStopStride, "ldrg ranking scan", rows_of, rank_row);
     std::vector<Scored> ranked;
     for (std::size_t lane = 0; lane < lanes; ++lane)
       ranked.insert(ranked.end(), top.begin() + static_cast<std::ptrdiff_t>(lane * keep),
@@ -218,11 +270,25 @@ std::optional<Pick> ldrg_round(const graph::RoutingGraph& g, double cost,
     std::partial_sort(ranked.begin(),
                       ranked.begin() + static_cast<std::ptrdiff_t>(kept),
                       ranked.end(), ranks_before);
-    std::vector<Move> shortlist;
-    shortlist.reserve(kept);
+    candidates.reserve(kept);
     for (std::size_t k = 0; k < kept; ++k)
-      shortlist.push_back(candidates[ranked[k].index]);
-    candidates = std::move(shortlist);
+      candidates.push_back(Move{ranked[k].index / n, ranked[k].index % n});
+  } else {
+    // Without a scorer every move is verified: the rows, then the
+    // widenings.
+    candidates.reserve(n * (n - 1) / 2 + g.edge_count());
+    if (moves.add_wires)
+      for (graph::NodeId u = 0; u < n; ++u)
+        for (const graph::NodeId v : row(0, u)) candidates.push_back(Move{u, v});
+    if (moves.widths) {
+      for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
+        const Move widen{e, graph::kInvalidNode};
+        if (next_width(*moves.widths, g.edge(e).width) != 0.0 &&
+            within_budget(added_cost(g, widen, moves.widths)))
+          candidates.push_back(widen);
+      }
+    }
+    if (candidates.empty()) return std::nullopt;
   }
 
   // 3. Verify with the exact evaluator; a move counts only below the
@@ -253,7 +319,10 @@ std::optional<Pick> ldrg_round(const graph::RoutingGraph& g, double cost,
                              : t;
     if (score < best.rank.score) best = Verified{Scored{score, k}, t};
   };
-  scan(candidates.size(), kVerifyStopStride, "ldrg candidate scan", verify);
+  const auto chunk_of = [&](std::size_t lane) {
+    return chunk_range(candidates.size(), lane, lanes);
+  };
+  scan(kVerifyStopStride, "ldrg candidate scan", chunk_of, verify);
 
   // 4. Reduce by (score, index), independent of lane count and scheduling.
   Verified best{none};

@@ -45,14 +45,15 @@ struct LdrgOptions {
   std::vector<double> criticality;
 
   /// Candidate-scan thread count. Results are bit-identical for every
-  /// value: candidates are scored independently over statically chunked
-  /// index ranges and the winner is reduced by (delay, candidate index),
-  /// so the lane count can never change the chosen edge.
+  /// value: candidates are scored independently over static ranges (rows
+  /// of the pair enumeration when ranking, chunks of the candidate list
+  /// when verifying) and the winner is reduced by (delay, candidate
+  /// index), so the lane count can never change the chosen edge.
   ParallelConfig parallel;
 
   /// Cooperative deadline/cancellation. Polled at every round boundary
-  /// and inside each scan lane, every 64 ranked and every 16 verified
-  /// candidates; when it trips, the lanes drain cooperatively (the pool
+  /// and inside each scan lane, once per ranked row of candidates (at
+  /// most n - 1) and every 16 verified candidates; when it trips, the lanes drain cooperatively (the pool
   /// joins cleanly) and ldrg unwinds with NtrError (kTimeout /
   /// kCancelled). An un-engaged token (the default) is one hoisted bool
   /// test -- the scan and its result stay bit-identical.

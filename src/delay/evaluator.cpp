@@ -24,24 +24,23 @@ std::vector<double> select_sinks(const graph::RoutingGraph& g,
 }
 
 /// Incremental what-if scorer backed by the Sherman-Morrison Elmore
-/// cache; `scale` folds in the ln(2) rescale of ScaledElmoreEvaluator.
+/// cache.
 class IncrementalElmoreScorer final : public CandidateScorer {
  public:
-  IncrementalElmoreScorer(const graph::RoutingGraph& g,
-                          const spice::Technology& tech, double scale)
-      : engine_(g, tech), scale_(scale) {}
+  IncrementalElmoreScorer(const graph::RoutingGraph& g, const spice::Technology& tech)
+      : engine_(g, tech) {}
 
   [[nodiscard]] std::vector<double> candidate_sink_delays(
       graph::NodeId u, graph::NodeId v) const override {
     std::vector<double> out(engine_.sink_count());
-    engine_.candidate_sink_delays(u, v, scale_, out);
+    engine_.candidate_sink_delays(u, v, out);
     return out;
   }
 
-  [[nodiscard]] double candidate_objective(graph::NodeId u, graph::NodeId v,
-                                           std::span<const double> criticality,
-                                           double bound) const override {
-    return engine_.candidate_objective(u, v, scale_, criticality, bound);
+  void row_objectives(graph::NodeId u, std::span<const graph::NodeId> vs,
+                      std::span<const double> criticality, double bound,
+                      std::span<double> out) const override {
+    engine_.row_objectives(u, vs, criticality, bound, out);
   }
 
   bool add_wire(graph::NodeId u, graph::NodeId v) override {
@@ -50,7 +49,6 @@ class IncrementalElmoreScorer final : public CandidateScorer {
 
  private:
   IncrementalElmore engine_;
-  double scale_;
 };
 
 }  // namespace
@@ -80,11 +78,14 @@ double sink_objective(std::span<const double> sink_delays,
   return sum;
 }
 
-double CandidateScorer::candidate_objective(graph::NodeId u, graph::NodeId v,
-                                            std::span<const double> criticality,
-                                            double bound) const {
+void CandidateScorer::row_objectives(graph::NodeId u, std::span<const graph::NodeId> vs,
+                                     std::span<const double> criticality, double bound,
+                                     std::span<double> out) const {
   (void)bound;
-  return sink_objective(candidate_sink_delays(u, v), criticality);
+  if (out.size() != vs.size())
+    throw std::invalid_argument("row_objectives: one output per partner");
+  for (std::size_t j = 0; j < vs.size(); ++j)
+    out[j] = sink_objective(candidate_sink_delays(u, vs[j]), criticality);
 }
 
 double DelayEvaluator::max_delay(const graph::RoutingGraph& g) const {
@@ -112,21 +113,7 @@ std::vector<double> GraphElmoreEvaluator::sink_delays(
 
 std::unique_ptr<CandidateScorer> GraphElmoreEvaluator::make_candidate_scorer(
     const graph::RoutingGraph& g) const {
-  return std::make_unique<IncrementalElmoreScorer>(g, tech_, 1.0);
-}
-
-std::vector<double> ScaledElmoreEvaluator::sink_delays(
-    const graph::RoutingGraph& g) const {
-  constexpr double kLn2 = 0.6931471805599453;
-  std::vector<double> d = select_sinks(g, graph_elmore_delays(g, tech_));
-  for (double& v : d) v *= kLn2;
-  return d;
-}
-
-std::unique_ptr<CandidateScorer> ScaledElmoreEvaluator::make_candidate_scorer(
-    const graph::RoutingGraph& g) const {
-  constexpr double kLn2 = 0.6931471805599453;
-  return std::make_unique<IncrementalElmoreScorer>(g, tech_, kLn2);
+  return std::make_unique<IncrementalElmoreScorer>(g, tech_);
 }
 
 std::vector<double> TwoPoleEvaluator::sink_delays(const graph::RoutingGraph& g) const {

@@ -39,16 +39,19 @@ class CandidateScorer {
   [[nodiscard]] virtual std::vector<double> candidate_sink_delays(
       graph::NodeId u, graph::NodeId v) const = 0;
 
-  /// sink_objective(candidate_sink_delays(u, v), criticality) whenever
-  /// that is below `bound`, bit for bit; otherwise any value >= `bound`.
-  /// The weights must be non-negative: a weighted query may then stop
-  /// once its partial sum reaches the bound, because rounded partial sums
-  /// of non-negative terms never decrease. LDRG ranks with this, bounded
-  /// by the score a candidate must beat. The default computes the exact
-  /// objective from candidate_sink_delays.
-  [[nodiscard]] virtual double candidate_objective(graph::NodeId u, graph::NodeId v,
-                                                   std::span<const double> criticality,
-                                                   double bound) const;
+  /// The bounded objectives of the candidate wires (u, vs[j]), one row of
+  /// LDRG's pair enumeration: out[j] is bit for bit
+  /// sink_objective(candidate_sink_delays(u, vs[j]), criticality) whenever
+  /// that is below `bound`, and any value >= `bound` otherwise. The weights
+  /// must be non-negative: a weighted query may then stop once its partial
+  /// sum reaches the bound, because rounded partial sums of non-negative
+  /// terms never decrease. LDRG asks this once per row u, for the absent
+  /// within-budget partners v > u, bounded by the score a candidate must
+  /// beat when the row starts. `out` has one entry per partner. The
+  /// default computes each exact objective from candidate_sink_delays.
+  virtual void row_objectives(graph::NodeId u, std::span<const graph::NodeId> vs,
+                              std::span<const double> criticality, double bound,
+                              std::span<double> out) const;
 
   /// Called after the caller added the absent wire (u,v) to the attached
   /// graph: true when the scorer now answers for the new graph, false
@@ -142,24 +145,6 @@ class GraphElmoreEvaluator final : public DelayEvaluator {
   /// Sherman-Morrison delta engine (delay/incremental_elmore.h): one
   /// envelope factorization and n solves, then O(sinks) per candidate
   /// instead of a fresh SPD solve.
-  [[nodiscard]] std::unique_ptr<CandidateScorer> make_candidate_scorer(
-      const graph::RoutingGraph& g) const override;
-
- private:
-  spice::Technology tech_;
-};
-
-/// ln(2)-scaled graph Elmore: the classical single-pole 50%-delay rule
-/// (0.693 RC). Cheaper than D2M (one solve) and a much better absolute
-/// estimate than raw Elmore when a single pole dominates; same ranking as
-/// GraphElmoreEvaluator since it only rescales.
-class ScaledElmoreEvaluator final : public DelayEvaluator {
- public:
-  explicit ScaledElmoreEvaluator(const spice::Technology& tech) : tech_(tech) {}
-  [[nodiscard]] std::vector<double> sink_delays(
-      const graph::RoutingGraph& g) const override;
-  [[nodiscard]] std::string name() const override { return "elmore-ln2"; }
-  /// Same delta engine as GraphElmoreEvaluator, with the ln(2) rescale.
   [[nodiscard]] std::unique_ptr<CandidateScorer> make_candidate_scorer(
       const graph::RoutingGraph& g) const override;
 

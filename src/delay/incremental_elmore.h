@@ -40,11 +40,12 @@ struct IncrementalElmoreStats {
 /// Sherman-Morrison the updated moments need only columns u and v of R:
 /// an O(1) coefficient (y^T C = m1_u - m1_v because R is symmetric) and
 /// one contiguous pass over the nodes -- over just the sinks for
-/// candidate_sink_delays, and only until the bound for
-/// candidate_objective. When the update is too ill-conditioned for the
-/// delta to be trustworthy (degenerate zero-length shorts driving
-/// g_e * w^T R w beyond kDeltaConditionLimit), the engine transparently
-/// falls back to an exact solve of the trial graph.
+/// candidate_sink_delays, and only until the bound for row_objectives,
+/// which scores one row of LDRG's pair enumeration per call. When the
+/// update is too ill-conditioned for the delta to be trustworthy
+/// (degenerate zero-length shorts driving g_e * w^T R w beyond
+/// kDeltaConditionLimit), the engine transparently falls back to an exact
+/// solve of the trial graph.
 ///
 /// The cache answers for the graph it was attached to, which must
 /// outlive it and change only by wires the cache is told of: after the
@@ -67,22 +68,26 @@ class IncrementalElmore {
   [[nodiscard]] std::vector<double> candidate_delays(graph::NodeId u,
                                                      graph::NodeId v) const;
 
-  /// The sinks' entries of candidate_delays, in g.sinks() order and each
-  /// multiplied by `scale`, written to `out` (one per sink); O(sinks) on
-  /// the delta path.
-  void candidate_sink_delays(graph::NodeId u, graph::NodeId v, double scale,
+  /// The sinks' entries of candidate_delays, in g.sinks() order, written
+  /// to `out` (one per sink); O(sinks) on the delta path.
+  void candidate_sink_delays(graph::NodeId u, graph::NodeId v,
                              std::span<double> out) const;
 
-  /// CandidateScorer::candidate_objective over candidate_sink_delays(u, v,
-  /// scale): one pass over the sinks, each computed by that function's own
-  /// expression, that returns as soon as the running max (or, with
-  /// non-negative weights, the running sum in g.sinks() order) reaches
-  /// `bound`. Allocates nothing on the delta path; the exact fallback
-  /// returns the exact objective.
-  [[nodiscard]] double candidate_objective(graph::NodeId u, graph::NodeId v,
-                                           double scale,
-                                           std::span<const double> criticality,
-                                           double bound) const;
+  /// CandidateScorer::row_objectives: the bounded objectives of the wires
+  /// (u, vs[j]). The row kernel loads what is constant along the row
+  /// (column u, R(u,u), m1_u, u's position) once, computes a block of
+  /// candidates' Sherman-Morrison coefficients in one pass by the
+  /// expressions of candidate_sink_delays, then gives each candidate one
+  /// pass over the sinks, each sink by that function's own expression,
+  /// that stops as soon as the running max (or, with non-negative
+  /// weights, the running sum in g.sinks() order) reaches `bound`. A
+  /// one-element row is the single-candidate query. Allocates nothing on
+  /// the delta path; a candidate that fails the condition test gets its
+  /// exact objective from the exact path, and the rest of its row stays
+  /// on the delta path.
+  void row_objectives(graph::NodeId u, std::span<const graph::NodeId> vs,
+                      std::span<const double> criticality, double bound,
+                      std::span<double> out) const;
 
   /// The same computation via a full assemble-and-solve of the trial
   /// graph, bypassing the cache. Exposed so tests (and the fallback path)
@@ -130,9 +135,14 @@ class IncrementalElmore {
 
   /// False (and counts a fallback) when the update is too ill-conditioned.
   bool update_for(graph::NodeId u, graph::NodeId v, Update& up) const;
+  /// The scalar part of the update for a wire of `length` with
+  /// y_u = R(u,u) - R(u,v), y_v = R(v,u) - R(v,v) and m1_u - m1_v:
+  /// sets up's coefficients, or returns false when the update is too
+  /// ill-conditioned. The one place their expressions live.
+  bool coefficients(double length, double y_u, double y_v, double m1_diff,
+                    Update& up) const;
   /// candidate_sink_delays by the exact path.
-  void exact_sink_delays(graph::NodeId u, graph::NodeId v, double scale,
-                         std::span<double> out) const;
+  void exact_sink_delays(graph::NodeId u, graph::NodeId v, std::span<double> out) const;
 
   const graph::RoutingGraph* g_ = nullptr;
   spice::Technology tech_;

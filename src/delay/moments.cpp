@@ -8,13 +8,6 @@
 
 namespace ntr::delay {
 
-double wire_conductance(double length_um, double width,
-                        const spice::Technology& tech) {
-  const double r = length_um > 0.0 ? tech.wire_resistance(length_um, width)
-                                   : spice::kShortResistanceOhm;
-  return 1.0 / r;
-}
-
 GroundedSystem assemble_grounded_system(const graph::RoutingGraph& g,
                                         const spice::Technology& tech,
                                         std::optional<ExtraWire> extra) {

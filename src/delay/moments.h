@@ -41,7 +41,13 @@ struct GroundedSystem {
 
 /// Effective conductance of a wire of the given length/width; degenerate
 /// zero-length wires get the same numerical short as the netlist builder.
-double wire_conductance(double length_um, double width, const spice::Technology& tech);
+/// Inline: the Elmore row kernel evaluates it once per candidate wire.
+inline double wire_conductance(double length_um, double width,
+                               const spice::Technology& tech) {
+  const double r = length_um > 0.0 ? tech.wire_resistance(length_um, width)
+                                   : spice::kShortResistanceOhm;
+  return 1.0 / r;
+}
 
 /// A unit-width wire between two distinct nodes of a routing graph.
 struct ExtraWire {

@@ -29,6 +29,35 @@ struct GraphValidateOptions {
   double length_tolerance_um = 1e-9;
 };
 
+/// The checks on one edge alone, reported under `tag`: endpoints in
+/// range and distinct, a Manhattan length and a positive finite width.
+/// False when the endpoints are bad, so that no later check dereferences
+/// them.
+inline bool check_edge(std::span<const GraphNode> nodes, const GraphEdge& edge,
+                       const std::string& tag, const GraphValidateOptions& options,
+                       check::ValidationReport& report) {
+  const std::size_t n = nodes.size();
+  if (edge.u >= n || edge.v >= n) {
+    report.errors.push_back(tag + ": dangling endpoint (" + std::to_string(edge.u) +
+                            ", " + std::to_string(edge.v) + ") with " +
+                            std::to_string(n) + " nodes");
+    return false;
+  }
+  if (edge.u == edge.v) {
+    report.errors.push_back(tag + ": self-loop at node " + std::to_string(edge.u));
+    return false;
+  }
+  const double want = geom::manhattan_distance(nodes[edge.u].pos, nodes[edge.v].pos);
+  if (!(std::abs(edge.length - want) <= options.length_tolerance_um)) {
+    report.errors.push_back(tag + ": length " + std::to_string(edge.length) +
+                            " != Manhattan distance " + std::to_string(want));
+  }
+  if (!(edge.width > 0.0) || !std::isfinite(edge.width)) {
+    report.errors.push_back(tag + ": non-positive width " + std::to_string(edge.width));
+  }
+  return true;
+}
+
 /// Validates a raw node/edge set. Exposed separately from the
 /// RoutingGraph overload so tests can feed deliberately corrupted edge
 /// lists that the RoutingGraph mutation API itself refuses to build.
@@ -42,30 +71,12 @@ inline check::ValidationReport validate_graph(std::span<const GraphNode> nodes,
   for (std::size_t e = 0; e < edges.size(); ++e) {
     const GraphEdge& edge = edges[e];
     const std::string tag = "edge " + std::to_string(e);
-    if (edge.u >= n || edge.v >= n) {
-      report.errors.push_back(tag + ": dangling endpoint (" + std::to_string(edge.u) +
-                              ", " + std::to_string(edge.v) + ") with " +
-                              std::to_string(n) + " nodes");
-      continue;  // remaining checks dereference the endpoints
-    }
-    if (edge.u == edge.v) {
-      report.errors.push_back(tag + ": self-loop at node " + std::to_string(edge.u));
-      continue;
-    }
+    if (!check_edge(nodes, edge, tag, options, report)) continue;
     const auto key = std::minmax(edge.u, edge.v);
     if (!seen.insert(key).second) {
       report.errors.push_back(tag + ": parallel edge between " +
                               std::to_string(key.first) + " and " +
                               std::to_string(key.second));
-    }
-    const double want = geom::manhattan_distance(nodes[edge.u].pos, nodes[edge.v].pos);
-    if (!(std::abs(edge.length - want) <= options.length_tolerance_um)) {
-      report.errors.push_back(tag + ": length " + std::to_string(edge.length) +
-                              " != Manhattan distance " + std::to_string(want));
-    }
-    if (!(edge.width > 0.0) || !std::isfinite(edge.width)) {
-      report.errors.push_back(tag + ": non-positive width " +
-                              std::to_string(edge.width));
     }
   }
 
@@ -92,6 +103,48 @@ inline check::ValidationReport validate_graph(std::span<const GraphNode> nodes,
       report.errors.push_back("graph is disconnected (" +
                               std::to_string(uf.component_count()) +
                               " components)");
+    }
+  }
+  return report;
+}
+
+/// Validates what RoutingGraph::add_edge changed when it added edge `e`,
+/// in O(deg(u) + deg(v)): the edge's endpoints (in range, distinct), its
+/// Manhattan length and positive width, its id listed exactly once in
+/// each endpoint's adjacency, and no other edge between its endpoints.
+inline check::ValidationReport validate_added_edge(
+    const RoutingGraph& g, EdgeId e, const GraphValidateOptions& options = {}) {
+  check::ValidationReport report;
+  const std::string tag = "edge " + std::to_string(e);
+  if (e >= g.edge_count()) {
+    report.errors.push_back(tag + ": out of range with " +
+                            std::to_string(g.edge_count()) + " edges");
+    return report;
+  }
+  const GraphEdge& edge = g.edge(e);
+  if (!check_edge(g.nodes(), edge, tag, options, report)) return report;
+  for (const NodeId end : {edge.u, edge.v}) {
+    std::size_t listed = 0;
+    for (const EdgeId other : g.incident_edges(end)) {
+      if (other == e) {
+        ++listed;
+        continue;
+      }
+      if (other >= g.edge_count()) {
+        report.errors.push_back("adjacency of node " + std::to_string(end) +
+                                ": edge id " + std::to_string(other) + " out of range");
+        continue;
+      }
+      const GraphEdge& o = g.edge(other);
+      if ((o.u == edge.u && o.v == edge.v) || (o.u == edge.v && o.v == edge.u)) {
+        report.errors.push_back(tag + ": parallel edge " + std::to_string(other) +
+                                " between " + std::to_string(edge.u) + " and " +
+                                std::to_string(edge.v));
+      }
+    }
+    if (listed != 1) {
+      report.errors.push_back("adjacency of node " + std::to_string(end) + ": " + tag +
+                              " listed " + std::to_string(listed) + " times");
     }
   }
   return report;

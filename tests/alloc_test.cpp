@@ -5,7 +5,7 @@
 //     a march that takes ten times the steps makes exactly as many
 //     allocations;
 //   - LDRG's Elmore ranking allocates per round, never per candidate:
-//     bounded scorer queries allocate nothing, nor does the scorer's
+//     bounded row queries allocate nothing, nor does the scorer's
 //     update after an accepted wire, and a one-edge LDRG makes exactly as
 //     many allocations whether its budget admits every absent pair or
 //     about a tenth of them.
@@ -91,18 +91,38 @@ TEST(LdrgAllocations, BoundedScorerQueriesAllocateNothing) {
   const std::unique_ptr<delay::CandidateScorer> scorer = eval.make_candidate_scorer(g);
   const auto pairs = absent_pairs(g);
   const std::vector<double> weights(g.sinks().size(), 0.5);
+  // The rows as LDRG enumerates them, and one output buffer for any row.
+  std::vector<std::vector<graph::NodeId>> rows(g.node_count());
+  for (const auto& [u, v] : pairs) rows[u].push_back(v);
+  std::vector<double> out(g.node_count());
+  const auto score = [&](graph::NodeId u, std::span<const graph::NodeId> vs,
+                         std::span<const double> criticality, double bound) {
+    const std::span<double> row(out.data(), vs.size());
+    scorer->row_objectives(u, vs, criticality, bound, row);
+    double sum = 0.0;
+    for (const double x : row) sum += x;
+    return sum;
+  };
   // Unbounded, bounded at a typical score, and bounded at zero.
-  const double typical = scorer->candidate_objective(pairs[0].first, pairs[0].second, {},
-                                                     std::numeric_limits<double>::infinity());
+  const double typical = score(pairs[0].first, {&pairs[0].second, 1}, {},
+                               std::numeric_limits<double>::infinity());
   const double bounds[] = {std::numeric_limits<double>::infinity(), typical, 0.0};
 
   const std::size_t before = g_allocations.load();
   double checksum = 0.0;
+  // One-element rows, the single-candidate query.
   for (std::size_t i = 0; i < 10'000; ++i) {
     const auto& [u, v] = pairs[(i * 7919) % pairs.size()];
     const std::span<const double> criticality =
         i % 2 == 0 ? std::span<const double>{} : std::span<const double>(weights);
-    checksum += scorer->candidate_objective(u, v, criticality, bounds[i % 3]);
+    checksum += score(u, {&v, 1}, criticality, bounds[i % 3]);
+  }
+  // Every whole row, ORG and CSORG, under each bound.
+  for (const double bound : bounds) {
+    for (graph::NodeId u = 0; u < g.node_count(); ++u) {
+      checksum += score(u, rows[u], {}, bound);
+      checksum += score(u, rows[u], weights, bound);
+    }
   }
   EXPECT_EQ(g_allocations.load() - before, 0u);
   EXPECT_GT(checksum, 0.0);

@@ -141,6 +141,13 @@ TEST_F(CheckTest, CorruptedEdgeListsAreRejected) {
   EXPECT_TRUE(mentions(ntr::graph::validate_graph(nodes, bad_width), "width"));
 }
 
+TEST_F(CheckTest, AddedEdgeValidatesLocally) {
+  const auto g = ntr::graph::mst_routing(square_net());
+  for (ntr::graph::EdgeId e = 0; e < g.edge_count(); ++e)
+    EXPECT_TRUE(ntr::graph::validate_added_edge(g, e).ok()) << "edge " << e;
+  EXPECT_TRUE(mentions(ntr::graph::validate_added_edge(g, g.edge_count()), "out of range"));
+}
+
 TEST_F(CheckTest, SecondSourceNodeIsRejected) {
   const std::vector<ntr::graph::GraphNode> nodes = {
       {{0, 0}, ntr::graph::NodeKind::kSource},

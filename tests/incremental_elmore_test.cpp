@@ -8,6 +8,7 @@
 #include <memory>
 #include <numeric>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -34,6 +35,17 @@ double max_abs(const std::vector<double>& v) {
   double m = 0.0;
   for (const double x : v) m = std::max(m, std::abs(x));
   return m;
+}
+
+/// The bounded objective of the single wire (u, v), from an engine or a
+/// scorer: a one-element row.
+template <class RowQuery>
+double one_objective(const RowQuery& query, graph::NodeId u, graph::NodeId v,
+                     std::span<const double> criticality, double bound) {
+  double out = 0.0;
+  query.row_objectives(u, std::span<const graph::NodeId>(&v, 1), criticality, bound,
+                       std::span<double>(&out, 1));
+  return out;
 }
 
 void expect_delays_close(const std::vector<double>& got,
@@ -102,8 +114,8 @@ TEST(IncrementalElmore, StatsCountQueries) {
   // Well-conditioned wires stay on the delta path on every query.
   (void)engine.candidate_delays(0, 3);
   std::vector<double> sinks(engine.sink_count());
-  engine.candidate_sink_delays(1, 4, 1.0, sinks);
-  (void)engine.candidate_objective(2, 5, 1.0, {}, 0.0);
+  engine.candidate_sink_delays(1, 4, sinks);
+  (void)one_objective(engine, 2, 5, {}, 0.0);
   EXPECT_EQ(engine.stats().exact_fallbacks, 0u);
 }
 
@@ -163,24 +175,17 @@ void expect_scorer_matches_trials(const DelayEvaluator& eval,
 
 class ScorerContractTest : public ::testing::TestWithParam<std::size_t> {};
 
-// MST and non-tree bases from the paper's sizes to 400 pins, for both
-// graph-Elmore evaluators.
+// MST and non-tree bases from the paper's sizes to 400 pins.
 TEST_P(ScorerContractTest, SinkDelaysMatchMaterializedTrials) {
   const std::size_t pins = GetParam();
   expt::NetGenerator gen(500 + pins);
   const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(pins));
   const graph::RoutingGraph nontree = with_random_edges(mst, 3, pins);
   const std::size_t cap = pins <= 60 ? 2000 : pins <= 150 ? 300 : 60;
-  const GraphElmoreEvaluator graph_elmore(kTech);
-  const ScaledElmoreEvaluator scaled(kTech);
-  for (const DelayEvaluator* eval :
-       {static_cast<const DelayEvaluator*>(&graph_elmore),
-        static_cast<const DelayEvaluator*>(&scaled)}) {
-    expect_scorer_matches_trials(*eval, mst, absent_pairs(mst, cap, 1), kTol,
-                                 eval->name() + " MST");
-    expect_scorer_matches_trials(*eval, nontree, absent_pairs(nontree, cap, 2), kTol,
-                                 eval->name() + " non-tree");
-  }
+  const GraphElmoreEvaluator eval(kTech);
+  expect_scorer_matches_trials(eval, mst, absent_pairs(mst, cap, 1), kTol, "MST");
+  expect_scorer_matches_trials(eval, nontree, absent_pairs(nontree, cap, 2), kTol,
+                               "non-tree");
 }
 
 INSTANTIATE_TEST_SUITE_P(Pins, ScorerContractTest,
@@ -201,11 +206,8 @@ TEST(ScorerContract, SertTreeWithInterleavedSteinerNodes) {
                    sert.node(n + 1).kind == graph::NodeKind::kSink;
   ASSERT_TRUE(interleaved);
   const GraphElmoreEvaluator graph_elmore(kTech);
-  const ScaledElmoreEvaluator scaled(kTech);
   expect_scorer_matches_trials(graph_elmore, sert, absent_pairs(sert, 2500, 3), 1e-11,
                                "SERT elmore-graph");
-  expect_scorer_matches_trials(scaled, sert, absent_pairs(sert, 2500, 4), 1e-11,
-                               "SERT elmore-ln2");
 }
 
 // Scoring a pair that is already wired means a second, parallel wire:
@@ -238,7 +240,7 @@ std::vector<double> weights_with_zeros(const graph::RoutingGraph& g, std::uint64
   return w;
 }
 
-/// candidate_objective on every pair, for ORG and for CSORG with zero
+/// The one-element row query on every pair, for ORG and for CSORG with zero
 /// weights, under the bounds +inf, 0, the exact objective and both its
 /// neighbours: bit for bit sink_objective(candidate_sink_delays(u, v))
 /// when that is below the bound, and at least the bound otherwise.
@@ -255,7 +257,7 @@ void expect_bounded_objective_contract(const DelayEvaluator& eval,
           sink_objective(scorer->candidate_sink_delays(u, v), criticality);
       for (const double bound : {kInf, 0.0, exact, std::nextafter(exact, -kInf),
                                  std::nextafter(exact, kInf)}) {
-        const double got = scorer->candidate_objective(u, v, criticality, bound);
+        const double got = one_objective(*scorer, u, v, criticality, bound);
         const std::string where = context + (criticality.empty() ? " ORG" : " CSORG") +
                                   " pair (" + std::to_string(u) + "," +
                                   std::to_string(v) + ") bound " + std::to_string(bound);
@@ -271,26 +273,18 @@ void expect_bounded_objective_contract(const DelayEvaluator& eval,
 
 class BoundedObjectiveTest : public ::testing::TestWithParam<std::size_t> {};
 
-// MSTs and the LDRG routings grown from them, for both graph-Elmore
-// evaluators.
+// MSTs and the LDRG routings grown from them.
 TEST_P(BoundedObjectiveTest, MatchesSinkObjectiveBelowTheBound) {
   const std::size_t pins = GetParam();
   expt::NetGenerator gen(900 + pins);
   const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(pins));
-  const GraphElmoreEvaluator graph_elmore(kTech);
-  const ScaledElmoreEvaluator scaled(kTech);
+  const GraphElmoreEvaluator eval(kTech);
   core::LdrgOptions grow;
   grow.max_added_edges = 3;
-  const graph::RoutingGraph grown = core::ldrg(mst, graph_elmore, grow).graph;
+  const graph::RoutingGraph grown = core::ldrg(mst, eval, grow).graph;
   ASSERT_GT(grown.edge_count(), mst.edge_count());
-  for (const DelayEvaluator* eval :
-       {static_cast<const DelayEvaluator*>(&graph_elmore),
-        static_cast<const DelayEvaluator*>(&scaled)}) {
-    expect_bounded_objective_contract(*eval, mst, absent_pairs(mst, 400, 6),
-                                      eval->name() + " MST");
-    expect_bounded_objective_contract(*eval, grown, absent_pairs(grown, 400, 7),
-                                      eval->name() + " LDRG");
-  }
+  expect_bounded_objective_contract(eval, mst, absent_pairs(mst, 400, 6), "MST");
+  expect_bounded_objective_contract(eval, grown, absent_pairs(grown, 400, 7), "LDRG");
 }
 
 INSTANTIATE_TEST_SUITE_P(Pins, BoundedObjectiveTest,
@@ -305,8 +299,6 @@ TEST(BoundedObjective, SertTreeWithMicronLengthEdges) {
       route::elmore_routing_tree(gen.random_net(60), kTech, opts).graph;
   expect_bounded_objective_contract(GraphElmoreEvaluator(kTech), sert,
                                     absent_pairs(sert, 600, 8), "SERT elmore-graph");
-  expect_bounded_objective_contract(ScaledElmoreEvaluator(kTech), sert,
-                                    absent_pairs(sert, 600, 9), "SERT elmore-ln2");
 }
 
 /// Sinks a and b sit at one point, 4 mm of resistive wire apart: the
@@ -341,12 +333,171 @@ TEST(BoundedObjective, ZeroLengthShortTakesTheExactFallback) {
   const graph::RoutingGraph& g = shorted.g;
   const graph::NodeId a = shorted.a, b = shorted.b;
   const IncrementalElmore engine(g, tech);
-  (void)engine.candidate_objective(a, b, 1.0, {}, 0.0);
+  (void)one_objective(engine, a, b, {}, 0.0);
   EXPECT_EQ(engine.stats().exact_fallbacks, 1u);
   const Pairs pairs = absent_pairs(g, 100, 10);
   ASSERT_NE(std::find(pairs.begin(), pairs.end(), std::pair{a, b}), pairs.end());
   expect_bounded_objective_contract(GraphElmoreEvaluator(tech), g, pairs, "short elmore-graph");
-  expect_bounded_objective_contract(ScaledElmoreEvaluator(tech), g, pairs, "short elmore-ln2");
+}
+
+// ---- The row query ----
+
+/// Row u of g as LDRG enumerates it: the absent partners v > u, ascending.
+std::vector<graph::NodeId> row_of(const graph::RoutingGraph& g, graph::NodeId u) {
+  std::vector<graph::NodeId> vs;
+  for (graph::NodeId v = u + 1; v < g.node_count(); ++v)
+    if (!g.has_edge(u, v)) vs.push_back(v);
+  return vs;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Every row of g scored by one row query and by one-element rows: bit
+/// for bit the same answers (also at or above the bound), for ORG and for
+/// CSORG with zero weights, bounded by +inf, a typical score and 0.
+void expect_rows_match_single_queries(const graph::RoutingGraph& g,
+                                      const spice::Technology& tech,
+                                      const std::string& context) {
+  const IncrementalElmore engine(g, tech);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& criticality :
+       {std::vector<double>{}, weights_with_zeros(g, g.node_count())}) {
+    // A typical score: the median exact objective of row 0.
+    const std::vector<graph::NodeId> first = row_of(g, 0);
+    ASSERT_FALSE(first.empty()) << context;
+    std::vector<double> scores(first.size());
+    engine.row_objectives(0, first, criticality, kInf, scores);
+    std::nth_element(scores.begin(), scores.begin() + static_cast<std::ptrdiff_t>(scores.size() / 2),
+                     scores.end());
+    const double typical = scores[scores.size() / 2];
+    for (const double bound : {kInf, typical, 0.0}) {
+      for (graph::NodeId u = 0; u < g.node_count(); ++u) {
+        const std::vector<graph::NodeId> vs = row_of(g, u);
+        std::vector<double> row(vs.size());
+        engine.row_objectives(u, vs, criticality, bound, row);
+        for (std::size_t j = 0; j < vs.size(); ++j)
+          ASSERT_EQ(bits(row[j]), bits(one_objective(engine, u, vs[j], criticality, bound)))
+              << context << (criticality.empty() ? " ORG" : " CSORG") << " bound " << bound
+              << " pair (" << u << "," << vs[j] << ")";
+      }
+    }
+  }
+}
+
+/// The best `keep` (score, index) of g's absent wires as an LDRG lane
+/// keeps them, index u * n + v: with one row query per row, bounded by the
+/// score to beat when the row starts and offered against the live bound
+/// (`by_row`), or with one one-element query per wire bounded by the live
+/// bound.
+std::vector<std::pair<double, std::size_t>> lane_shortlist(
+    const IncrementalElmore& engine, const graph::RoutingGraph& g,
+    std::span<const double> criticality, std::size_t keep, double cutoff, bool by_row) {
+  const std::size_t n = g.node_count();
+  std::vector<std::pair<double, std::size_t>> best;
+  const auto live = [&] { return best.size() == keep ? best.back().first : cutoff; };
+  const auto offer = [&](double score, std::size_t index) {
+    if (!(score < live())) return;
+    if (best.size() == keep) best.pop_back();
+    auto at = best.begin();
+    while (at != best.end() && !(score < at->first)) ++at;
+    best.insert(at, {score, index});
+  };
+  for (graph::NodeId u = 0; u < n; ++u) {
+    const std::vector<graph::NodeId> vs = row_of(g, u);
+    std::vector<double> row(vs.size());
+    if (by_row) engine.row_objectives(u, vs, criticality, live(), row);
+    for (std::size_t j = 0; j < vs.size(); ++j)
+      offer(by_row ? row[j] : one_objective(engine, u, vs[j], criticality, live()),
+            u * n + vs[j]);
+  }
+  return best;
+}
+
+/// lane_shortlist by rows and by single wires: the same (score, index)
+/// bits for K = 1 and 3, with no cutoff and with the base objective as
+/// the cutoff, for ORG and for CSORG with zero weights.
+void expect_row_shortlists_match(const graph::RoutingGraph& g, const std::string& context) {
+  const IncrementalElmore engine(g, kTech);
+  for (const std::vector<double>& criticality :
+       {std::vector<double>{}, weights_with_zeros(g, g.node_count() + 1)}) {
+    const double current = GraphElmoreEvaluator(kTech).objective(g, criticality);
+    for (const std::size_t keep : {1u, 3u}) {
+      for (const double cutoff : {std::numeric_limits<double>::infinity(), current}) {
+        const auto got = lane_shortlist(engine, g, criticality, keep, cutoff, true);
+        const auto want = lane_shortlist(engine, g, criticality, keep, cutoff, false);
+        const std::string where = context + (criticality.empty() ? " ORG" : " CSORG") +
+                                  " K " + std::to_string(keep) + " cutoff " +
+                                  std::to_string(cutoff);
+        ASSERT_EQ(got.size(), want.size()) << where;
+        // With the base objective as the cutoff, a routing LDRG cannot
+        // improve keeps nothing.
+        if (cutoff == std::numeric_limits<double>::infinity()) {
+          EXPECT_EQ(got.size(), keep) << where;
+        }
+        for (std::size_t k = 0; k < got.size(); ++k) {
+          EXPECT_EQ(bits(got[k].first), bits(want[k].first)) << where << " entry " << k;
+          EXPECT_EQ(got[k].second, want[k].second) << where << " entry " << k;
+        }
+      }
+    }
+  }
+}
+
+// MSTs and their 3-wire graph-Elmore LDRG routings, 12 to 400 pins (the
+// shortlists to 150 pins).
+TEST(RowQuery, MatchesOneCandidateQueriesBitForBit) {
+  const GraphElmoreEvaluator eval(kTech);
+  core::LdrgOptions grow;
+  grow.max_added_edges = 3;
+  for (const std::size_t pins : {12u, 60u, 150u, 400u}) {
+    // The first net from seed 300 + pins on which LDRG takes three wires.
+    graph::RoutingGraph mst, grown;
+    for (std::uint64_t seed = 300 + pins; grown.edge_count() != mst.edge_count() + 3;
+         ++seed) {
+      ASSERT_LT(seed, 320 + pins) << pins << " pins: no net takes three wires";
+      mst = graph::mst_routing(expt::NetGenerator(seed).random_net(pins));
+      grown = core::ldrg(mst, eval, grow).graph;
+    }
+    for (const auto& [g, name] : {std::pair{&mst, "MST"}, std::pair{&grown, "LDRG"}}) {
+      const std::string context = std::to_string(pins) + " pins " + name;
+      expect_rows_match_single_queries(*g, kTech, context);
+      if (pins <= 150) expect_row_shortlists_match(*g, context);
+    }
+  }
+}
+
+// Micron-length Steiner edges: the ill-conditioned systems of a SERT.
+TEST(RowQuery, SertTreeWithMicronLengthEdges) {
+  expt::NetGenerator gen(122);
+  route::ErtOptions opts;
+  opts.steiner = true;
+  const graph::RoutingGraph sert =
+      route::elmore_routing_tree(gen.random_net(60), kTech, opts).graph;
+  expect_rows_match_single_queries(sert, kTech, "SERT");
+  expect_row_shortlists_match(sert, "SERT");
+}
+
+// A row whose middle wire is the zero-length short: that wire takes the
+// exact path, and the wires before and after it stay on the delta path.
+TEST(RowQuery, ZeroLengthShortTakesTheExactFallbackMidRow) {
+  ShortedSinks shorted = shorted_sinks();
+  graph::RoutingGraph& g = shorted.g;
+  g.add_edge(shorted.b, g.add_node({1500, 700}, graph::NodeKind::kSink));
+  const std::vector<graph::NodeId> vs = row_of(g, shorted.a);
+  const auto at = std::find(vs.begin(), vs.end(), shorted.b);
+  ASSERT_NE(at, vs.end());
+  ASSERT_NE(at, vs.begin());
+  ASSERT_NE(at + 1, vs.end());
+  const IncrementalElmore engine(g, shorted.tech);
+  std::vector<double> row(vs.size());
+  engine.row_objectives(shorted.a, vs, {}, std::numeric_limits<double>::infinity(), row);
+  EXPECT_EQ(engine.stats().exact_fallbacks, 1u);
+  for (std::size_t j = 0; j < vs.size(); ++j) {
+    std::vector<double> sinks(engine.sink_count());
+    engine.candidate_sink_delays(shorted.a, vs[j], sinks);
+    EXPECT_EQ(bits(row[j]), bits(sink_objective(sinks, {}))) << "partner " << vs[j];
+  }
+  expect_rows_match_single_queries(g, shorted.tech, "short");
 }
 
 // ---- Moving the engine along accepted wires ----
@@ -383,8 +534,8 @@ TEST(IncrementalElmore, AddWireMatchesAFreshBuild) {
       for (const auto& [x, y] : absent_pairs(g, 200, pins + i)) {
         const std::string where = context + " pair (" + std::to_string(x) + "," +
                                   std::to_string(y) + ")";
-        engine.candidate_sink_delays(x, y, 1.0, got);
-        fresh.candidate_sink_delays(x, y, 1.0, want);
+        engine.candidate_sink_delays(x, y, got);
+        fresh.candidate_sink_delays(x, y, want);
         for (std::size_t k = 0; k < got.size(); ++k)
           ASSERT_NEAR(got[k], want[k], kTol * scale) << where << " sink " << k;
         for (const std::vector<double>& criticality : {std::vector<double>{}, weights}) {
@@ -394,8 +545,8 @@ TEST(IncrementalElmore, AddWireMatchesAFreshBuild) {
           // Unbounded, and bounded at 90% of the objective, where the
           // query stops early: min(answer, bound) is what the contract fixes.
           for (const double b : {kInf, 0.9 * sink_objective(want, criticality)}) {
-            const double got_b = engine.candidate_objective(x, y, 1.0, criticality, b);
-            const double want_b = fresh.candidate_objective(x, y, 1.0, criticality, b);
+            const double got_b = one_objective(engine, x, y, criticality, b);
+            const double want_b = one_objective(fresh, x, y, criticality, b);
             ASSERT_NEAR(std::min(got_b, b), std::min(want_b, b), kTol * scale * weight)
                 << where << (criticality.empty() ? " ORG" : " CSORG") << " bound " << b;
           }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <memory>
 #include <random>
@@ -20,7 +21,11 @@
 #include "delay/evaluator.h"
 #include "expt/net_generator.h"
 #include "flow/timing_flow.h"
+#include "geom/point.h"
 #include "graph/mst.h"
+#include "route/ert.h"
+#include "runtime/status.h"
+#include "runtime/stop.h"
 
 namespace ntr {
 namespace {
@@ -68,8 +73,8 @@ class UnboundedEvaluator final : public delay::DelayEvaluator {
 };
 
 /// Overrides only candidate_sink_delays, as a tracing probe does, so the
-/// ranking takes CandidateScorer's default candidate_objective: the full
-/// vector, then sink_objective, whatever the bound.
+/// ranking takes CandidateScorer's default row_objectives: the full
+/// vector of each wire, then sink_objective, whatever the bound.
 class VectorOnlyScorer final : public delay::CandidateScorer {
  public:
   explicit VectorOnlyScorer(std::unique_ptr<delay::CandidateScorer> inner)
@@ -115,10 +120,10 @@ class ForwardingScorer final : public delay::CandidateScorer {
       graph::NodeId u, graph::NodeId v) const override {
     return inner_->candidate_sink_delays(u, v);
   }
-  [[nodiscard]] double candidate_objective(graph::NodeId u, graph::NodeId v,
-                                           std::span<const double> criticality,
-                                           double bound) const override {
-    return inner_->candidate_objective(u, v, criticality, bound);
+  void row_objectives(graph::NodeId u, std::span<const graph::NodeId> vs,
+                      std::span<const double> criticality, double bound,
+                      std::span<double> out) const override {
+    inner_->row_objectives(u, vs, criticality, bound, out);
   }
   bool add_wire(graph::NodeId u, graph::NodeId v) override {
     return forward_add_wire_ && inner_->add_wire(u, v);
@@ -167,13 +172,15 @@ std::vector<double> weights_with_zeros(const graph::RoutingGraph& g, std::uint64
   return w;
 }
 
-/// ldrg_screened as a full score array ranks it: every absent pair scored
-/// through a VectorOnlyScorer on the graph-Elmore screen, the best `keep`
-/// by (score, enumeration index) verified by `eval`, the lowest verified
-/// objective below the acceptance threshold taken, first on ties.
-core::LdrgResult reference_screened(const graph::RoutingGraph& initial,
-                                    const delay::DelayEvaluator& eval, std::size_t keep,
-                                    const std::vector<double>& criticality) {
+/// ldrg_screened as a full score array ranks it: every absent pair within
+/// `max_cost_ratio` of the initial cost scored through a VectorOnlyScorer
+/// on the graph-Elmore screen, the best `keep` by (score, enumeration
+/// index) verified by `eval`, the lowest verified objective below the
+/// acceptance threshold taken, first on ties.
+core::LdrgResult reference_screened(
+    const graph::RoutingGraph& initial, const delay::DelayEvaluator& eval,
+    std::size_t keep, const std::vector<double>& criticality,
+    double max_cost_ratio = std::numeric_limits<double>::infinity()) {
   const delay::GraphElmoreEvaluator screen(kTech);
   constexpr double kInf = std::numeric_limits<double>::infinity();
   core::LdrgResult result;
@@ -192,10 +199,19 @@ core::LdrgResult reference_screened(const graph::RoutingGraph& initial,
       graph::NodeId u, v;
     };
     std::vector<Ranked> ranked;
-    for (graph::NodeId u = 0; u < g.node_count(); ++u)
-      for (graph::NodeId v = u + 1; v < g.node_count(); ++v)
-        if (!g.has_edge(u, v))
-          ranked.push_back({scorer.candidate_objective(u, v, criticality, kInf), u, v});
+    const double budget = max_cost_ratio * result.initial_cost;
+    for (graph::NodeId u = 0; u < g.node_count(); ++u) {
+      for (graph::NodeId v = u + 1; v < g.node_count(); ++v) {
+        if (g.has_edge(u, v) ||
+            result.final_cost + geom::manhattan_distance(g.node(u).pos, g.node(v).pos) >
+                budget)
+          continue;
+        double score = 0.0;
+        scorer.row_objectives(u, std::span<const graph::NodeId>(&v, 1), criticality, kInf,
+                              std::span<double>(&score, 1));
+        ranked.push_back({score, u, v});
+      }
+    }
     std::erase_if(ranked, [&](const Ranked& r) { return !(r.score < kInf); });
     std::stable_sort(ranked.begin(), ranked.end(),
                      [](const Ranked& a, const Ranked& b) { return a.score < b.score; });
@@ -338,17 +354,14 @@ TEST(LdrgParallel, ScreenedVariantBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The engine's bounded query and a lane-local top K against a scorer
-// that only yields whole vectors, scored in full: same routing, bit for
-// bit, at every lane count, for ORG and CSORG with zero weights.
+// The engine's row query and a lane-local top K against a scorer that
+// only yields whole vectors, scored in full: same routing, bit for bit, at
+// every lane count, for ORG and CSORG with zero weights.
 TEST(LdrgParallel, BoundedRankingRoutesLikeTheVectorOnlyScorer) {
-  const delay::GraphElmoreEvaluator graph_elmore(kTech);
-  const delay::ScaledElmoreEvaluator scaled(kTech);
+  const delay::GraphElmoreEvaluator eval(kTech);
   for (const std::size_t pins : {60u, 100u, 150u}) {
     expt::NetGenerator gen(40 + pins);
     const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(pins));
-    const delay::DelayEvaluator& eval =
-        pins == 100 ? static_cast<const delay::DelayEvaluator&>(scaled) : graph_elmore;
     for (const bool weighted : {false, true}) {
       core::LdrgOptions opts;
       if (weighted) opts.criticality = weights_with_zeros(mst, pins);
@@ -357,10 +370,181 @@ TEST(LdrgParallel, BoundedRankingRoutesLikeTheVectorOnlyScorer) {
       for (const std::size_t threads : {1u, 2u, 8u}) {
         opts.parallel.num_threads = threads;
         expect_identical(core::ldrg(mst, eval, opts), want,
-                         eval.name() + " " + std::to_string(pins) + " pins" +
-                             (weighted ? " CSORG" : " ORG") + " threads " +
-                             std::to_string(threads));
+                         std::to_string(pins) + " pins" + (weighted ? " CSORG" : " ORG") +
+                             " threads " + std::to_string(threads));
       }
+    }
+  }
+}
+
+/// Answers each row query with one one-element query per wire, each
+/// bounded by the row's bound: the single-candidate reference.
+class OneAtATimeScorer final : public delay::CandidateScorer {
+ public:
+  explicit OneAtATimeScorer(std::unique_ptr<delay::CandidateScorer> inner)
+      : inner_(std::move(inner)) {}
+  [[nodiscard]] std::vector<double> candidate_sink_delays(
+      graph::NodeId u, graph::NodeId v) const override {
+    return inner_->candidate_sink_delays(u, v);
+  }
+  void row_objectives(graph::NodeId u, std::span<const graph::NodeId> vs,
+                      std::span<const double> criticality, double bound,
+                      std::span<double> out) const override {
+    for (std::size_t j = 0; j < vs.size(); ++j)
+      inner_->row_objectives(u, vs.subspan(j, 1), criticality, bound, out.subspan(j, 1));
+  }
+  bool add_wire(graph::NodeId u, graph::NodeId v) override {
+    return inner_->add_wire(u, v);
+  }
+
+ private:
+  std::unique_ptr<delay::CandidateScorer> inner_;
+};
+
+/// Forwards everything, with the inner evaluator's scorer behind a
+/// OneAtATimeScorer.
+class OneAtATimeEvaluator final : public delay::DelayEvaluator {
+ public:
+  explicit OneAtATimeEvaluator(const delay::DelayEvaluator& inner) : inner_(inner) {}
+  [[nodiscard]] std::vector<double> sink_delays(
+      const graph::RoutingGraph& g) const override {
+    return inner_.sink_delays(g);
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] std::unique_ptr<delay::CandidateScorer> make_candidate_scorer(
+      const graph::RoutingGraph& g) const override {
+    return std::make_unique<OneAtATimeScorer>(inner_.make_candidate_scorer(g));
+  }
+  [[nodiscard]] double bounded_max_delay(const graph::RoutingGraph& g,
+                                         double give_up_s) const override {
+    return inner_.bounded_max_delay(g, give_up_s);
+  }
+
+ private:
+  const delay::DelayEvaluator& inner_;
+};
+
+// Rows against single-wire queries inside LDRG: MSTs at 60 and 150 pins
+// and a 60-pin SERT (micron-length Steiner edges), ORG and CSORG with zero
+// weights, no budget and max_cost_ratio 1.1, at 1, 2 and 8 lanes: the
+// same routing, bit for bit. K = 3 goes through ldrg_screened against the
+// full score array of one-element queries.
+TEST(LdrgParallel, RowQueryRoutesLikeOneCandidateQueries) {
+  const delay::GraphElmoreEvaluator eval(kTech);
+  const delay::TwoPoleEvaluator d2m(kTech);
+  std::vector<std::pair<std::string, graph::RoutingGraph>> routings;
+  for (const std::size_t pins : {60u, 150u}) {
+    expt::NetGenerator gen(90 + pins);
+    routings.emplace_back(std::to_string(pins) + "-pin MST",
+                          graph::mst_routing(gen.random_net(pins)));
+  }
+  {
+    expt::NetGenerator gen(122);
+    route::ErtOptions sert;
+    sert.steiner = true;
+    routings.emplace_back("SERT",
+                          route::elmore_routing_tree(gen.random_net(60), kTech, sert).graph);
+  }
+  for (const auto& [name, initial] : routings) {
+    for (const double ratio : {std::numeric_limits<double>::infinity(), 1.1}) {
+      for (const bool weighted : {false, true}) {
+        core::LdrgOptions opts;
+        opts.max_cost_ratio = ratio;
+        if (weighted) opts.criticality = weights_with_zeros(initial, 3);
+        const std::string context = name + " ratio " + std::to_string(ratio) +
+                                    (weighted ? " CSORG" : " ORG");
+        const core::LdrgResult want = core::ldrg(initial, OneAtATimeEvaluator(eval), opts);
+        EXPECT_TRUE(want.improved()) << context;
+        const core::LdrgResult want_k3 =
+            reference_screened(initial, d2m, 3, opts.criticality, ratio);
+        EXPECT_TRUE(want_k3.improved()) << context;
+        for (const std::size_t threads : {1u, 2u, 8u}) {
+          opts.parallel.num_threads = threads;
+          expect_identical(core::ldrg(initial, eval, opts), want,
+                           context + " K 1 threads " + std::to_string(threads));
+          core::ScreenedLdrgOptions screened;
+          screened.base = opts;
+          screened.verify_top_k = 3;
+          expect_identical(core::ldrg_screened(initial, d2m, kTech, screened), want_k3,
+                           context + " K 3 threads " + std::to_string(threads));
+        }
+      }
+    }
+  }
+}
+
+/// Forwards every call of its scorer, and on the first row query asks
+/// `source` to cancel; counts the row queries.
+class CancellingScorer final : public delay::CandidateScorer {
+ public:
+  CancellingScorer(std::unique_ptr<delay::CandidateScorer> inner,
+                   runtime::CancelSource& source, std::atomic<std::size_t>& rows)
+      : inner_(std::move(inner)), source_(source), rows_(rows) {}
+  [[nodiscard]] std::vector<double> candidate_sink_delays(
+      graph::NodeId u, graph::NodeId v) const override {
+    return inner_->candidate_sink_delays(u, v);
+  }
+  void row_objectives(graph::NodeId u, std::span<const graph::NodeId> vs,
+                      std::span<const double> criticality, double bound,
+                      std::span<double> out) const override {
+    rows_.fetch_add(1, std::memory_order_relaxed);
+    source_.request_cancel();
+    inner_->row_objectives(u, vs, criticality, bound, out);
+  }
+
+ private:
+  std::unique_ptr<delay::CandidateScorer> inner_;
+  runtime::CancelSource& source_;
+  std::atomic<std::size_t>& rows_;
+};
+
+/// Forwards everything, with the inner evaluator's scorer behind a
+/// CancellingScorer.
+class CancellingEvaluator final : public delay::DelayEvaluator {
+ public:
+  CancellingEvaluator(const delay::DelayEvaluator& inner, runtime::CancelSource& source,
+                      std::atomic<std::size_t>& rows)
+      : inner_(inner), source_(source), rows_(rows) {}
+  [[nodiscard]] std::vector<double> sink_delays(
+      const graph::RoutingGraph& g) const override {
+    return inner_.sink_delays(g);
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] std::unique_ptr<delay::CandidateScorer> make_candidate_scorer(
+      const graph::RoutingGraph& g) const override {
+    return std::make_unique<CancellingScorer>(inner_.make_candidate_scorer(g), source_,
+                                              rows_);
+  }
+
+ private:
+  const delay::DelayEvaluator& inner_;
+  runtime::CancelSource& source_;
+  std::atomic<std::size_t>& rows_;
+};
+
+// The ranking polls the stop token before every row: a cancel raised
+// inside the first row query stops a serial scan after that row, and a
+// parallel one well before its rows run out, with one typed error.
+TEST(LdrgParallel, RankingStopsWithinARowOfACancel) {
+  const delay::GraphElmoreEvaluator eval(kTech);
+  expt::NetGenerator gen(33);
+  const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(150));
+  for (const std::size_t threads : {1u, 4u}) {
+    runtime::CancelSource source;
+    std::atomic<std::size_t> rows{0};
+    core::LdrgOptions opts;
+    opts.parallel.num_threads = threads;
+    opts.stop.cancel = source.token();
+    try {
+      (void)core::ldrg(mst, CancellingEvaluator(eval, source, rows), opts);
+      FAIL() << "threads " << threads << ": the scan ignored the cancel";
+    } catch (const runtime::NtrError& e) {
+      EXPECT_EQ(e.code(), runtime::StatusCode::kCancelled) << "threads " << threads;
+    }
+    if (threads == 1) {
+      EXPECT_EQ(rows.load(), 1u);
+    } else {
+      EXPECT_LT(rows.load(), mst.node_count() / 2) << "threads " << threads;
     }
   }
 }

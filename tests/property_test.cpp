@@ -64,20 +64,14 @@ TEST_P(GraphPropertyTest, CycleCountMatchesBridgeStructure) {
 }
 
 TEST_P(GraphPropertyTest, EvaluatorRankingsAgreeWithEachOther) {
-  // m1-based evaluators differ only by scaling, so their max-delay sink
-  // must coincide; D2M and transient may disagree on close calls but all
-  // evaluators must return positive finite delays.
+  // D2M and transient may disagree with graph Elmore on close calls, but
+  // all evaluators must return positive finite delays.
   const auto [pins, chords] = GetParam();
   const delay::GraphElmoreEvaluator elmore(kTech);
-  const delay::ScaledElmoreEvaluator scaled(kTech);
   const delay::TwoPoleEvaluator d2m(kTech);
   const delay::TransientEvaluator transient(kTech);
   for (std::uint64_t seed = 9; seed <= 10; ++seed) {
     const graph::RoutingGraph g = random_routing(pins, chords, seed);
-    const std::vector<double> e = elmore.sink_delays(g);
-    const std::vector<double> s = scaled.sink_delays(g);
-    for (std::size_t i = 0; i < e.size(); ++i)
-      EXPECT_NEAR(s[i], 0.6931471805599453 * e[i], e[i] * 1e-12);
     for (const auto* eval :
          std::initializer_list<const delay::DelayEvaluator*>{&elmore, &d2m,
                                                              &transient}) {

@@ -7,6 +7,9 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/solver.h"
 #include "delay/evaluator.h"
@@ -22,11 +25,50 @@ struct Case {
   const char* evaluator;
 };
 
+constexpr double kLn2 = 0.6931471805599453;
+
+/// Graph Elmore's scorer with every delay scaled by ln 2. It overrides only
+/// candidate_sink_delays, so LDRG ranks through CandidateScorer's default
+/// row query.
+class Ln2Scorer final : public delay::CandidateScorer {
+ public:
+  explicit Ln2Scorer(std::unique_ptr<delay::CandidateScorer> inner)
+      : inner_(std::move(inner)) {}
+  [[nodiscard]] std::vector<double> candidate_sink_delays(
+      graph::NodeId u, graph::NodeId v) const override {
+    std::vector<double> d = inner_->candidate_sink_delays(u, v);
+    for (double& x : d) x *= kLn2;
+    return d;
+  }
+
+ private:
+  std::unique_ptr<delay::CandidateScorer> inner_;
+};
+
+/// ln(2)-scaled graph Elmore, the single-pole 50% rule, as a caller would
+/// write its own evaluator on top of the library's.
+class Ln2Elmore final : public delay::DelayEvaluator {
+ public:
+  [[nodiscard]] std::vector<double> sink_delays(
+      const graph::RoutingGraph& g) const override {
+    std::vector<double> d = elmore_.sink_delays(g);
+    for (double& x : d) x *= kLn2;
+    return d;
+  }
+  [[nodiscard]] std::string name() const override { return "elmore-ln2"; }
+  [[nodiscard]] std::unique_ptr<delay::CandidateScorer> make_candidate_scorer(
+      const graph::RoutingGraph& g) const override {
+    return std::make_unique<Ln2Scorer>(elmore_.make_candidate_scorer(g));
+  }
+
+ private:
+  delay::GraphElmoreEvaluator elmore_{kTech};
+};
+
 std::unique_ptr<delay::DelayEvaluator> make(const std::string& name) {
   if (name == "graph-elmore")
     return std::make_unique<delay::GraphElmoreEvaluator>(kTech);
-  if (name == "elmore-ln2")
-    return std::make_unique<delay::ScaledElmoreEvaluator>(kTech);
+  if (name == "elmore-ln2") return std::make_unique<Ln2Elmore>();
   if (name == "d2m") return std::make_unique<delay::TwoPoleEvaluator>(kTech);
   if (name == "two-pole-waveform")
     return std::make_unique<delay::TwoPoleWaveformEvaluator>(kTech);
