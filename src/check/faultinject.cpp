@@ -12,7 +12,6 @@ namespace ntr::check::fault {
 namespace {
 
 constexpr std::array<SiteInfo, kFaultSiteCount> kSiteInfos{{
-    {FaultSite::kLuSingular, "lu-singular", runtime::StatusCode::kSingular},
     {FaultSite::kCholeskyNotSpd, "cholesky-not-spd",
      runtime::StatusCode::kSingular},
     {FaultSite::kDcSingular, "dc-singular", runtime::StatusCode::kSingular},

@@ -10,7 +10,7 @@
 ///
 /// Production code marks recoverable failure boundaries with
 ///
-///   NTR_FAULT_POINT(kLuSingular);
+///   NTR_FAULT_POINT(kCholeskyNotSpd);
 ///
 /// naming a site from the fixed FaultSite table below. In a normal build
 /// the macro expands to nothing (zero code, zero data). When the tree is
@@ -22,9 +22,9 @@
 /// programmatic API; the CLI/CI arm them through the NTR_FAULT_SPEC
 /// environment variable:
 ///
-///   NTR_FAULT_SPEC="lu-singular@3,transient-nonfinite@1"
+///   NTR_FAULT_SPEC="cholesky-not-spd@3,transient-nonfinite@1"
 ///
-/// fires the lu-singular site on its 3rd hit and the transient-nonfinite
+/// fires the cholesky-not-spd site on its 3rd hit and the transient-nonfinite
 /// site on its 1st, then leaves them quiescent (one shot per arm).
 namespace ntr::check::fault {
 
@@ -32,9 +32,8 @@ namespace ntr::check::fault {
 /// run time) so a chaos test can iterate all sites and prove each one
 /// fires. Keep in sync with kSiteInfos in faultinject.cpp.
 enum class FaultSite : std::uint8_t {
-  kLuSingular,           ///< dense LU pivot collapse
   kCholeskyNotSpd,       ///< dense/sparse Cholesky loses positive-definiteness
-  kDcSingular,           ///< MNA DC operating-point solve singular
+  kDcSingular,           ///< DC steady-state solve singular
   kTransientNonFinite,   ///< NaN/inf waveform mid time-march
   kLdrgAllocation,       ///< candidate-buffer allocation failure in LDRG
   kLdrgDeadline,         ///< deadline trip at an LDRG round boundary
@@ -45,11 +44,11 @@ enum class FaultSite : std::uint8_t {
   kServeWorkerDispatch,  ///< worker-lane dispatch failure in ntr_serve
   kIoNetParse,           ///< net-text parse failure in io::try_read_net
 };
-inline constexpr std::size_t kFaultSiteCount = 12;
+inline constexpr std::size_t kFaultSiteCount = 11;
 
 struct SiteInfo {
   FaultSite site;
-  const char* name;              ///< spec/spell-out name ("lu-singular")
+  const char* name;              ///< spec/spell-out name ("cholesky-not-spd")
   runtime::StatusCode code;      ///< what an injected failure throws
 };
 

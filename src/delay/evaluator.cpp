@@ -7,7 +7,6 @@
 #include "delay/elmore.h"
 #include "delay/incremental_elmore.h"
 #include "delay/moments.h"
-#include "delay/two_pole.h"
 #include "spice/netlist.h"
 
 namespace ntr::delay {
@@ -118,17 +117,6 @@ std::unique_ptr<CandidateScorer> GraphElmoreEvaluator::make_candidate_scorer(
 
 std::vector<double> TwoPoleEvaluator::sink_delays(const graph::RoutingGraph& g) const {
   return select_sinks(g, d2m_delays(g, tech_));
-}
-
-std::vector<double> TwoPoleWaveformEvaluator::sink_delays(
-    const graph::RoutingGraph& g) const {
-  const std::vector<TwoPoleModel> models = two_pole_models(g, tech_);
-  std::vector<double> out;
-  const std::vector<graph::NodeId> sinks = g.sinks();
-  out.reserve(sinks.size());
-  for (const graph::NodeId s : sinks)
-    out.push_back(models[s].crossing(tech_.threshold_fraction));
-  return out;
 }
 
 sim::TransientSimulator::ThresholdReport TransientEvaluator::measure(

@@ -164,22 +164,6 @@ class TwoPoleEvaluator final : public DelayEvaluator {
   spice::Technology tech_;
 };
 
-/// AWE-style reduced-order model: fits a two-pole waveform per node from
-/// three moment solves and reads the crossing at the technology's
-/// threshold fraction. Unlike the D2M metric (fixed 50% formula), this
-/// respects Technology::threshold_fraction, so it can screen for
-/// non-standard measurement points at moment-solve cost.
-class TwoPoleWaveformEvaluator final : public DelayEvaluator {
- public:
-  explicit TwoPoleWaveformEvaluator(const spice::Technology& tech) : tech_(tech) {}
-  [[nodiscard]] std::vector<double> sink_delays(
-      const graph::RoutingGraph& g) const override;
-  [[nodiscard]] std::string name() const override { return "two-pole-waveform"; }
-
- private:
-  spice::Technology tech_;
-};
-
 /// Full transient 50%-threshold measurement through the in-repo circuit
 /// simulator: the accurate-but-costly oracle, standing in for SPICE.
 class TransientEvaluator final : public DelayEvaluator {

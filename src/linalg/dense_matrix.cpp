@@ -1,7 +1,6 @@
 #include "linalg/dense_matrix.h"
 
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -25,70 +24,6 @@ Vector DenseMatrix::multiply(std::span<const double> x) const {
     y[r] = s;
   }
   return y;
-}
-
-LuFactorization::LuFactorization(DenseMatrix a) : lu_(std::move(a)) {
-  if (lu_.rows() != lu_.cols())
-    throw std::invalid_argument("LuFactorization: matrix must be square");
-  const std::size_t n = lu_.rows();
-  perm_.resize(n);
-  std::iota(perm_.begin(), perm_.end(), std::size_t{0});
-
-  for (std::size_t k = 0; k < n; ++k) {
-    // Partial pivoting: find the largest magnitude in column k at/below row k.
-    std::size_t pivot = k;
-    double pivot_mag = std::abs(lu_(k, k));
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const double mag = std::abs(lu_(r, k));
-      if (mag > pivot_mag) {
-        pivot = r;
-        pivot_mag = mag;
-      }
-    }
-    NTR_FAULT_POINT(kLuSingular);
-    if (pivot_mag == 0.0)
-      throw runtime::NtrError(
-          runtime::StatusCode::kSingular,
-          "LuFactorization: singular matrix (n=" + std::to_string(n) +
-              ", pivot column " + std::to_string(k) + " has no nonzero entry)");
-    if (pivot != k) {
-      for (std::size_t c = 0; c < n; ++c) std::swap(lu_(k, c), lu_(pivot, c));
-      std::swap(perm_[k], perm_[pivot]);
-      perm_sign_ = -perm_sign_;
-    }
-    const double inv_pivot = 1.0 / lu_(k, k);
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const double factor = lu_(r, k) * inv_pivot;
-      lu_(r, k) = factor;
-      if (factor == 0.0) continue;
-      for (std::size_t c = k + 1; c < n; ++c) lu_(r, c) -= factor * lu_(k, c);
-    }
-  }
-}
-
-Vector LuFactorization::solve(std::span<const double> b) const {
-  const std::size_t n = size();
-  if (b.size() != n) throw std::invalid_argument("LuFactorization::solve: size");
-  Vector x(n);
-  // Apply permutation and forward substitution (L has unit diagonal).
-  for (std::size_t r = 0; r < n; ++r) {
-    double s = b[perm_[r]];
-    for (std::size_t c = 0; c < r; ++c) s -= lu_(r, c) * x[c];
-    x[r] = s;
-  }
-  // Back substitution with U.
-  for (std::size_t ri = n; ri-- > 0;) {
-    double s = x[ri];
-    for (std::size_t c = ri + 1; c < n; ++c) s -= lu_(ri, c) * x[c];
-    x[ri] = s / lu_(ri, ri);
-  }
-  return x;
-}
-
-double LuFactorization::determinant() const {
-  double det = perm_sign_;
-  for (std::size_t i = 0; i < size(); ++i) det *= lu_(i, i);
-  return det;
 }
 
 CholeskyFactorization::CholeskyFactorization(DenseMatrix a) : l_(std::move(a)) {

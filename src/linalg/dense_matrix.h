@@ -8,11 +8,10 @@
 
 namespace ntr::linalg {
 
-/// Row-major dense square-or-rectangular matrix of doubles. Dense LU
-/// serves the indefinite MNA systems of RLC decks, and the dense Cholesky
-/// is the reference the tests hold the envelope factor to. Every RC
-/// conductance system (the transient march of RC decks, every moment
-/// solve) is factored by the envelope L D L^T of linalg/sparse_cholesky.h.
+/// Row-major dense square-or-rectangular matrix of doubles, and the dense
+/// Cholesky the tests hold the envelope factor to. Every system the
+/// library solves (the transient march, every moment solve) is factored
+/// by the envelope L D L^T of linalg/sparse_cholesky.h.
 class DenseMatrix {
  public:
   DenseMatrix() = default;
@@ -34,30 +33,6 @@ class DenseMatrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
-};
-
-/// LU factorization with partial pivoting (Doolittle). Factor once, solve
-/// many right-hand sides -- the access pattern of a fixed-step transient
-/// simulation, where (G + 2C/h) is factored once per topology.
-class LuFactorization {
- public:
-  /// Throws ntr::runtime::NtrError (StatusCode::kSingular, with the
-  /// matrix dimension and failing pivot column in the message) if the
-  /// matrix is singular to working precision.
-  explicit LuFactorization(DenseMatrix a);
-
-  [[nodiscard]] std::size_t size() const { return lu_.rows(); }
-
-  /// Solves A x = b.
-  [[nodiscard]] Vector solve(std::span<const double> b) const;
-
-  /// Determinant sign-and-magnitude via the diagonal of U (for testing).
-  [[nodiscard]] double determinant() const;
-
- private:
-  DenseMatrix lu_;
-  std::vector<std::size_t> perm_;
-  int perm_sign_ = 1;
 };
 
 /// Cholesky factorization A = L L^T for symmetric positive definite

@@ -8,9 +8,9 @@
 ///
 ///   geom/     points, Manhattan metric, Hanan grid, rectilinear segments
 ///   graph/    routing graphs with cycles, MST, paths, bridges, embedding
-///   linalg/   dense LU/Cholesky, CSR, RCM with the envelope L D L^T
+///   linalg/   dense Cholesky, CSR, RCM with the envelope L D L^T
 ///   spice/    Table-1 technology, linear netlists, deck I/O, graph->RC
-///   sim/      MNA, DC/moments, transient engine (the SPICE substitute)
+///   sim/      nodal reduction, DC/moments, transient engine (the SPICE substitute)
 ///   delay/    Elmore (tree + graph), D2M, Sherman-Morrison
 ///             incremental Elmore, pluggable DelayEvaluator
 ///   steiner/  Iterated 1-Steiner
@@ -34,7 +34,6 @@
 #include "delay/evaluator.h"  // IWYU pragma: export
 #include "delay/incremental_elmore.h"  // IWYU pragma: export
 #include "delay/moments.h"  // IWYU pragma: export
-#include "delay/two_pole.h"  // IWYU pragma: export
 #include "expt/comparison.h"  // IWYU pragma: export
 #include "expt/net_generator.h"  // IWYU pragma: export
 #include "expt/protocol.h"  // IWYU pragma: export
@@ -66,7 +65,7 @@
 #include "route/constructions.h"  // IWYU pragma: export
 #include "route/local_search.h"  // IWYU pragma: export
 #include "route/ert.h"  // IWYU pragma: export
-#include "sim/mna.h"  // IWYU pragma: export
+#include "sim/nodal.h"  // IWYU pragma: export
 #include "sim/transient.h"  // IWYU pragma: export
 #include "sim/waveform_io.h"  // IWYU pragma: export
 #include "spice/deck_io.h"  // IWYU pragma: export

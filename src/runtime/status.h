@@ -50,7 +50,8 @@ class [[nodiscard]] Status {
   [[nodiscard]] StatusCode code() const { return code_; }
   [[nodiscard]] const std::string& message() const { return message_; }
 
-  /// "singular: LuFactorization: singular matrix (n=12, pivot 4)".
+  /// "singular: EnvelopeCholesky: matrix not positive definite (n=12, pivot 4
+  /// reduced to -0.5)".
   [[nodiscard]] std::string to_string() const;
 
  private:

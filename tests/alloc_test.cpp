@@ -52,26 +52,31 @@ const spice::Technology kTech = spice::kTable1Technology;
 
 TEST(TransientAllocations, MarchAllocatesNothingPerStep) {
   const graph::RoutingGraph g = graph::mst_routing(expt::NetGenerator(7).random_net(20));
-  const spice::GraphNetlist netlist = spice::build_netlist(g, kTech);
-  std::vector<spice::CircuitNode> watch;
-  for (const graph::NodeId n : netlist.sink_graph_nodes)
-    watch.push_back(netlist.graph_to_circuit[n]);
+  spice::NetlistOptions with_inductance;
+  with_inductance.include_inductance = true;
+  // An RC deck, and the RLC deck whose inductor currents the march keeps.
+  for (const spice::NetlistOptions& options : {spice::NetlistOptions{}, with_inductance}) {
+    const spice::GraphNetlist netlist = spice::build_netlist(g, kTech, options);
+    std::vector<spice::CircuitNode> watch;
+    for (const graph::NodeId n : netlist.sink_graph_nodes)
+      watch.push_back(netlist.graph_to_circuit[n]);
 
-  // Allocations made by measure_crossings on a fresh simulator that gives
-  // up after `steps` steps of its own time step.
-  const auto allocations_of = [&](double steps) {
-    sim::TransientSimulator simulator(netlist.circuit);
-    const double give_up_s = steps * simulator.time_step();
-    const std::size_t before = g_allocations.load();
-    const auto report = simulator.measure_crossings(watch, 0.5, give_up_s);
-    const std::size_t made = g_allocations.load() - before;
-    EXPECT_FALSE(report.all_crossed) << "the cutoff must end the march";
-    return made;
-  };
-  const std::size_t short_march = allocations_of(10.0);
-  const std::size_t long_march = allocations_of(100.0);
-  EXPECT_GT(short_march, 0u) << "the counting operator new is not in use";
-  EXPECT_EQ(short_march, long_march);
+    // Allocations made by measure_crossings on a fresh simulator that
+    // gives up after `steps` steps of its own time step.
+    const auto allocations_of = [&](double steps) {
+      sim::TransientSimulator simulator(netlist.circuit);
+      const double give_up_s = steps * simulator.time_step();
+      const std::size_t before = g_allocations.load();
+      const auto report = simulator.measure_crossings(watch, 0.5, give_up_s);
+      const std::size_t made = g_allocations.load() - before;
+      EXPECT_FALSE(report.all_crossed) << "the cutoff must end the march";
+      return made;
+    };
+    const std::size_t short_march = allocations_of(10.0);
+    const std::size_t long_march = allocations_of(100.0);
+    EXPECT_GT(short_march, 0u) << "the counting operator new is not in use";
+    EXPECT_EQ(short_march, long_march) << "inductance: " << options.include_inductance;
+  }
 }
 
 // ------------------------------------------------------ the LDRG ranking

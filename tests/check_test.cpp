@@ -17,7 +17,7 @@
 #include "sim/validate.h"
 #include "sta/validate.h"
 #include "graph/routing_graph.h"
-#include "sim/mna.h"
+#include "sim/nodal.h"
 #include "spice/netlist.h"
 #include "sta/timing_graph.h"
 
@@ -160,71 +160,53 @@ TEST_F(CheckTest, SecondSourceNodeIsRejected) {
   EXPECT_TRUE(ntr::graph::validate_graph(nodes, edges).ok());  // structural-only
 }
 
-// ------------------------------------------------------------ MNA validator
+// ---------------------------------------------------------- nodal validator
 
-ntr::sim::MnaSystem assembled_rc_line() {
+/// The nodal system of Vin -- R1 -- n2 -- L1 -- n3, with C2 and C3 to
+/// ground: two free nodes coupled by the inductor.
+ntr::sim::NodalSystem reduced_rlc_line() {
   ntr::spice::Circuit circuit;
   const auto n1 = circuit.add_node("n1");
   const auto n2 = circuit.add_node("n2");
+  const auto n3 = circuit.add_node("n3");
   circuit.add_voltage_source("Vin", n1, ntr::spice::kGround, 1.0,
                              ntr::spice::SourceWaveform::kStep);
   circuit.add_resistor("R1", n1, n2, 100.0);
-  circuit.add_capacitor("C1", n2, ntr::spice::kGround, 1e-12);
-  return ntr::sim::assemble_mna(circuit);
-}
-
-TEST_F(CheckTest, AssembledMnaValidates) {
-  const auto mna = assembled_rc_line();
-  EXPECT_TRUE(ntr::sim::validate_mna(mna).ok());
+  circuit.add_inductor("L1", n2, n3, 1e-9);
+  circuit.add_capacitor("C2", n2, ntr::spice::kGround, 1e-12);
+  circuit.add_capacitor("C3", n3, ntr::spice::kGround, 1e-12);
+  return ntr::sim::reduce_deck(circuit);
 }
 
 TEST_F(CheckTest, NonSymmetricStampIsRejected) {
-  auto mna = assembled_rc_line();
-  mna.g(0, 1) += 0.5;  // corrupt one triangle only
-  const auto report = ntr::sim::validate_mna(mna);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(mentions(report, "not symmetric"));
+  auto sys = reduced_rlc_line();
+  ASSERT_EQ(sys.free_nodes(), 2u);
+  ASSERT_TRUE(ntr::sim::validate_nodal_system(sys).ok());
+  ASSERT_EQ(sys.c.col_idx()[1], 1u);  // row 0 stores (0,0), then (0,1)
+  std::vector<double> c(sys.c.values().begin(), sys.c.values().end());
+  c[1] += 0.5;  // corrupt one triangle only
+  sys.c = sys.c.with_values(c);
+  const auto report = ntr::sim::validate_nodal_system(sys);
+  EXPECT_TRUE(mentions(report, "C is not finite and symmetric"));
   EXPECT_THROW(ntr::check::require(report, "corrupted stamp"), ContractViolation);
 }
 
 TEST_F(CheckTest, DimensionMismatchIsRejected) {
-  auto mna = assembled_rc_line();
-  mna.b_final.pop_back();
-  EXPECT_TRUE(mentions(ntr::sim::validate_mna(mna), "b_final"));
-}
-
-ntr::sim::MnaSystem branchless_system(double g01) {
-  // Two-node resistive system, no branch rows: kAuto probes SPD.
-  ntr::sim::MnaSystem mna;
-  mna.node_unknowns = 2;
-  mna.branch_unknowns = 0;
-  mna.g = ntr::linalg::DenseMatrix(2, 2);
-  mna.c = ntr::linalg::DenseMatrix(2, 2);
-  mna.b_final.assign(2, 0.0);
-  mna.g(0, 0) = 2.0;
-  mna.g(1, 1) = 2.0;
-  mna.g(0, 1) = g01;
-  mna.g(1, 0) = g01;
-  return mna;
-}
-
-TEST_F(CheckTest, SpdProbeAcceptsGroundedConductance) {
-  EXPECT_TRUE(ntr::sim::validate_mna(branchless_system(-1.0)).ok());
-}
-
-TEST_F(CheckTest, SpdProbeRejectsIndefiniteMatrix) {
-  // Symmetric with positive diagonal, but eigenvalues {5, -1}: only the
-  // Cholesky probe can tell this apart from a healthy conductance matrix.
-  const auto report = ntr::sim::validate_mna(branchless_system(3.0));
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(mentions(report, "positive definite"));
+  auto sys = reduced_rlc_line();
+  ASSERT_EQ(sys.inductors.size(), 1u);
+  sys.inductors[0].b = sys.free_nodes() + sys.fixed_voltages.size();  // past the state
+  EXPECT_TRUE(mentions(ntr::sim::validate_nodal_system(sys), "inductor 0"));
+  sys = reduced_rlc_line();
+  sys.slot_of_node.back() = sys.free_nodes() + sys.fixed_voltages.size();
+  EXPECT_TRUE(mentions(ntr::sim::validate_nodal_system(sys), "node slots"));
 }
 
 TEST_F(CheckTest, NegativeNodeDiagonalIsRejected) {
-  auto mna = branchless_system(-1.0);
-  mna.g(0, 0) = -2.0;
-  mna.g(1, 1) = -2.0;
-  EXPECT_TRUE(mentions(ntr::sim::validate_mna(mna), "diagonal"));
+  auto sys = reduced_rlc_line();
+  std::vector<double> g(sys.g.values().begin(), sys.g.values().end());
+  g[0] = -2.0;  // (0,0)
+  sys.g = sys.g.with_values(g);
+  EXPECT_TRUE(mentions(ntr::sim::validate_nodal_system(sys), "G diagonal"));
 }
 
 TEST_F(CheckTest, ReducedRcSystemValidatesAndRejectsAsymmetry) {
@@ -238,16 +220,16 @@ TEST_F(CheckTest, ReducedRcSystemValidatesAndRejectsAsymmetry) {
   circuit.add_resistor("R2", n2, n3, 100.0);
   circuit.add_capacitor("C2", n2, ntr::spice::kGround, 1e-12);
   circuit.add_capacitor("C3", n3, ntr::spice::kGround, 1e-12);
-  auto rc = *ntr::sim::reduce_rc_deck(circuit);
-  EXPECT_TRUE(ntr::sim::validate_rc_system(rc).ok());
+  auto rc = ntr::sim::reduce_deck(circuit);
+  EXPECT_TRUE(ntr::sim::validate_nodal_system(rc).ok());
 
   ASSERT_EQ(rc.g.col_idx()[1], 1u);  // row 0 stores (0,0), then (0,1)
   std::vector<double> g(rc.g.values().begin(), rc.g.values().end());
   g[1] += 0.5;  // corrupt one triangle only
   rc.g = rc.g.with_values(g);
-  EXPECT_TRUE(mentions(ntr::sim::validate_rc_system(rc), "symmetric"));
+  EXPECT_TRUE(mentions(ntr::sim::validate_nodal_system(rc), "symmetric"));
   rc.b_final.pop_back();
-  EXPECT_TRUE(mentions(ntr::sim::validate_rc_system(rc), "b_final"));
+  EXPECT_TRUE(mentions(ntr::sim::validate_nodal_system(rc), "b_final"));
 }
 
 // --------------------------------------------------------- timing validator

@@ -4,6 +4,7 @@
 
 #include "linalg/dense_matrix.h"
 #include "linalg/sparse.h"
+#include "linalg/sparse_cholesky.h"
 #include "linalg/vector_ops.h"
 
 namespace ntr::linalg {
@@ -62,48 +63,23 @@ TEST(DenseMatrix, MultiplyAndIdentity) {
   EXPECT_DOUBLE_EQ(y[1], -2.0);
 }
 
-TEST(Lu, SolvesRandomSystems) {
-  for (unsigned seed = 1; seed <= 5; ++seed) {
-    const std::size_t n = 20;
-    const DenseMatrix a = random_spd(n, seed);
-    const Vector x_true = random_vector(n, seed + 100);
-    const Vector b = a.multiply(x_true);
-    const LuFactorization lu(a);
-    const Vector x = lu.solve(b);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-8);
-  }
-}
-
-TEST(Lu, PivotsThroughZeroDiagonal) {
-  DenseMatrix a(2, 2);
-  a(0, 0) = 0.0;
-  a(0, 1) = 1.0;
-  a(1, 0) = 1.0;
-  a(1, 1) = 0.0;
-  const LuFactorization lu(a);
-  const Vector x = lu.solve(Vector{3.0, 4.0});
-  EXPECT_DOUBLE_EQ(x[0], 4.0);
-  EXPECT_DOUBLE_EQ(x[1], 3.0);
-  EXPECT_NEAR(lu.determinant(), -1.0, 1e-12);
-}
-
-TEST(Lu, ThrowsOnSingular) {
-  DenseMatrix a(2, 2);
-  a(0, 0) = 1.0;
-  a(0, 1) = 2.0;
-  a(1, 0) = 2.0;
-  a(1, 1) = 4.0;
-  EXPECT_THROW(LuFactorization{a}, std::runtime_error);
-}
-
 TEST(Cholesky, MatchesLuOnSpd) {
+  // Solves random SPD systems with known solutions, and agrees with the
+  // envelope L D L^T on the same matrix.
   for (unsigned seed = 1; seed <= 5; ++seed) {
     const std::size_t n = 15;
     const DenseMatrix a = random_spd(n, seed);
-    const Vector b = random_vector(n, seed + 7);
-    const Vector x_lu = LuFactorization(a).solve(b);
+    const Vector x_true = random_vector(n, seed + 7);
+    const Vector b = a.multiply(x_true);
     const Vector x_chol = CholeskyFactorization(a).solve(b);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x_lu[i], x_chol[i], 1e-8);
+    TripletBuilder tb(n, n);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < n; ++c) tb.add(r, c, a(r, c));
+    const Vector x_env = EnvelopeCholesky(CsrMatrix(tb)).solve(b);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(x_chol[i], x_true[i], 1e-8);
+      EXPECT_NEAR(x_chol[i], x_env[i], 1e-10);
+    }
   }
 }
 

@@ -27,7 +27,7 @@
 #include "serve/queue.h"
 #include "serve/service.h"
 #include "serve/wire.h"
-#include "sim/mna.h"
+#include "sim/nodal.h"
 #include "spice/netlist.h"
 
 namespace {
@@ -482,13 +482,6 @@ class FaultInjectionTest : public ::testing::Test {
 Status drive_site(FaultSite site) {
   try {
     switch (site) {
-      case FaultSite::kLuSingular: {
-        ntr::linalg::DenseMatrix a(2, 2);
-        a(0, 0) = 2.0;
-        a(1, 1) = 3.0;
-        const ntr::linalg::LuFactorization lu(a);
-        break;
-      }
       case FaultSite::kCholeskyNotSpd: {
         ntr::linalg::DenseMatrix a(2, 2);
         a(0, 0) = 2.0;
@@ -504,7 +497,7 @@ Status drive_site(FaultSite site) {
                                    ntr::spice::SourceWaveform::kStep);
         circuit.add_resistor("R1", n1, n2, 100.0);
         circuit.add_capacitor("C1", n2, ntr::spice::kGround, 1e-12);
-        (void)ntr::sim::dc_operating_point(ntr::sim::assemble_mna(circuit));
+        (void)ntr::sim::rc_steady_state(ntr::sim::reduce_deck(circuit));
         break;
       }
       case FaultSite::kTransientNonFinite:
@@ -587,18 +580,18 @@ TEST_F(FaultInjectionTest, UnarmedSitesStayQuiescent) {
 }
 
 TEST_F(FaultInjectionTest, OneShotDisarmsAfterFiring) {
-  ntr::check::fault::arm(FaultSite::kLuSingular, 1);
-  EXPECT_FALSE(drive_site(FaultSite::kLuSingular).ok());
+  ntr::check::fault::arm(FaultSite::kCholeskyNotSpd, 1);
+  EXPECT_FALSE(drive_site(FaultSite::kCholeskyNotSpd).ok());
   // Disarmed: the same path now completes.
-  EXPECT_TRUE(drive_site(FaultSite::kLuSingular).ok());
-  EXPECT_EQ(ntr::check::fault::fired_count(FaultSite::kLuSingular), 1u);
+  EXPECT_TRUE(drive_site(FaultSite::kCholeskyNotSpd).ok());
+  EXPECT_EQ(ntr::check::fault::fired_count(FaultSite::kCholeskyNotSpd), 1u);
 }
 
 TEST_F(FaultInjectionTest, EnvironmentSpecArmsSites) {
-  ASSERT_EQ(setenv("NTR_FAULT_SPEC", "lu-singular@1,bogus-site@2", 1), 0);
+  ASSERT_EQ(setenv("NTR_FAULT_SPEC", "cholesky-not-spd@1,bogus-site@2", 1), 0);
   EXPECT_EQ(ntr::check::fault::configure_from_environment(), 1u);
   ASSERT_EQ(unsetenv("NTR_FAULT_SPEC"), 0);
-  EXPECT_FALSE(drive_site(FaultSite::kLuSingular).ok());
+  EXPECT_FALSE(drive_site(FaultSite::kCholeskyNotSpd).ok());
 }
 
 TEST_F(FaultInjectionTest, LadderAbsorbsAnInjectedFault) {
@@ -650,25 +643,23 @@ TEST_F(FaultInjectionTest, BatchAccountsForEveryNetUnderChaos) {
   EXPECT_EQ(outcomes[3].disposition, NetDisposition::kOk);
 }
 
-TEST_F(FaultInjectionTest, TransientLuSingularNeedsAnRlcDeck) {
-  // RC decks never reach the dense LU; an RLC deck keeps the dense MNA
-  // path, so the lu-singular site still fails its transient measurement.
+TEST_F(FaultInjectionTest, TransientRlcDeckFailsThroughCholesky) {
+  // An RLC deck marches on the same envelope Cholesky factors as an RC
+  // deck. Its DC form has one free node per graph node, so the site's
+  // next hit is the first pivot of the march's own companion factor.
   const ntr::graph::RoutingGraph g = ntr::graph::mst_routing(square_net());
-  ntr::check::fault::arm(FaultSite::kLuSingular, 1);
-  const ntr::delay::TransientEvaluator rc(kTech);
-  (void)rc.sink_delays(g);
-  EXPECT_EQ(ntr::check::fault::hit_count(FaultSite::kLuSingular), 0u);
-
   ntr::spice::NetlistOptions with_inductance;
   with_inductance.include_inductance = true;
   const ntr::delay::TransientEvaluator rlc(kTech, with_inductance);
+  ntr::check::fault::arm(FaultSite::kCholeskyNotSpd, g.node_count() + 1);
   try {
     (void)rlc.sink_delays(g);
-    FAIL() << "the armed lu-singular site did not fire";
+    FAIL() << "the armed cholesky-not-spd site did not fire";
   } catch (const NtrError& e) {
     EXPECT_EQ(e.code(), StatusCode::kSingular);
+    EXPECT_NE(std::string(e.what()).find("cholesky-not-spd"), std::string::npos) << e.what();
   }
-  EXPECT_EQ(ntr::check::fault::fired_count(FaultSite::kLuSingular), 1u);
+  EXPECT_EQ(ntr::check::fault::fired_count(FaultSite::kCholeskyNotSpd), 1u);
 }
 
 TEST_F(FaultInjectionTest, FlowCompletesUnderChaos) {

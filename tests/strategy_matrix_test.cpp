@@ -70,8 +70,6 @@ std::unique_ptr<delay::DelayEvaluator> make(const std::string& name) {
     return std::make_unique<delay::GraphElmoreEvaluator>(kTech);
   if (name == "elmore-ln2") return std::make_unique<Ln2Elmore>();
   if (name == "d2m") return std::make_unique<delay::TwoPoleEvaluator>(kTech);
-  if (name == "two-pole-waveform")
-    return std::make_unique<delay::TwoPoleWaveformEvaluator>(kTech);
   return std::make_unique<delay::TransientEvaluator>(kTech);
 }
 
@@ -102,7 +100,7 @@ std::vector<Case> all_cases() {
         Strategy::kSert, Strategy::kLdrg, Strategy::kSldrg, Strategy::kErtLdrg,
         Strategy::kH1, Strategy::kH2, Strategy::kH3}) {
     for (const char* e :
-         {"transient", "graph-elmore", "elmore-ln2", "d2m", "two-pole-waveform"}) {
+         {"transient", "graph-elmore", "elmore-ln2", "d2m"}) {
       cases.push_back({s, e});
     }
   }
